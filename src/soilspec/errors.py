@@ -88,7 +88,7 @@ class EmptyClass(SoilspecError):
 
 
 class NumericalFailure(SoilspecError):
-    """Eigensolve failed to produce a usable decomposition."""
+    """Eigensolve failed, or a learner was handed NaN or inf values."""
 
 
 # -- learners and metrics --------------------------------------------------------

@@ -1,22 +1,19 @@
 """K-nearest-neighbor classifier and regressor with deterministic tie-breaks.
 
-Distances are Euclidean. Neighbor ranking sorts by (distance, training row
-index), so duplicated points resolve reproducibly; vote ties go to the
-smallest class index. Queries are processed in chunks to bound memory.
+Distances are Euclidean. Neighbors come from the exact KD-tree search in
+:mod:`.neighbors`, ranked by (distance, training row index), so duplicated
+points resolve reproducibly; vote ties go to the smallest class index.
+``n_jobs`` is the number of tree query workers.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..errors import EmptyTrainingSet, KTooLarge
-
-# Query chunks are sized so the (chunk, n_train, n_features) difference
-# tensor stays near this budget.
-_CHUNK_BYTES = 48 * 1024 * 1024
+from ..errors import EmptyTrainingSet, KTooLarge, NotFitted
+from .neighbors import build_tree, check_finite, k_nearest
 
 
 class _KnnBase:
@@ -34,70 +31,26 @@ class _KnnBase:
             raise EmptyTrainingSet("KNN fitted with no training rows")
         if self.k > features.shape[0]:
             raise KTooLarge(f"k={self.k} exceeds {features.shape[0]} training rows")
+        check_finite(features, "KNN training")
         self.train_x = features
         self.train_y = np.asarray(targets)
+        self._tree = build_tree(features)
         return self
 
     def _neighbor_indices(self, queries: np.ndarray) -> np.ndarray:
-        """(n_queries, k) training-row indices, nearest first.
-
-        Ranking is exact: sort key is (squared distance, training index).
-        A partition finds the k-th order statistic, then every row at or
-        below it is re-sorted stably so ties resolve by index, matching a
-        full linear-scan ranking.
-        """
+        """(n_queries, k) training-row indices, nearest first."""
         if self.train_x is None:
             raise EmptyTrainingSet("KNN predict before fit")
         queries = np.ascontiguousarray(queries, dtype=np.float64)
-        n_train, dim = self.train_x.shape
-        chunk = max(1, _CHUNK_BYTES // (n_train * dim * 8))
-        out = np.empty((queries.shape[0], self.k), dtype=np.int64)
-
-        def rank_chunk(start: int) -> None:
-            block = queries[start : start + chunk]
-            # Direct differences, not the expanded-dot trick: the stable
-            # tie-break needs distances bit-identical to a per-query scan.
-            d2 = ((block[:, np.newaxis, :] - self.train_x[np.newaxis, :, :]) ** 2).sum(
-                axis=2
-            )
-            if self.k == n_train:
-                out[start : start + block.shape[0]] = np.argsort(
-                    d2, axis=1, kind="stable"
-                )
-                return
-            kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1]
-            # Fast path: when the k-th distance is unique the top-k set is
-            # unambiguous; order those k by (distance, index) in one shot.
-            part = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-            vals = np.take_along_axis(d2, part, axis=1)
-            order = np.lexsort((part, vals), axis=1)
-            out[start : start + block.shape[0]] = np.take_along_axis(
-                part, order, axis=1
-            )
-            # Boundary ties need the full (distance, index) rank among all
-            # candidates at or below the k-th distance.
-            ties = np.flatnonzero((d2 == kth[:, np.newaxis]).sum(axis=1) > 1)
-            for i in ties:
-                candidates = np.flatnonzero(d2[i] <= kth[i])
-                ranked = candidates[np.argsort(d2[i, candidates], kind="stable")]
-                out[start + i] = ranked[: self.k]
-
-        starts = range(0, queries.shape[0], chunk)
-        if self.n_jobs > 1:
-            # chunks write disjoint slices, so results do not depend on
-            # scheduling
-            with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
-                list(pool.map(rank_chunk, starts))
-        else:
-            for start in starts:
-                rank_chunk(start)
-        return out
+        check_finite(queries, "KNN query")
+        return k_nearest(self._tree, self.k, queries, workers=self.n_jobs)
 
     def params_digest(self) -> str:
         """Hash of everything the fit depends on (leakage audits)."""
+        if self.train_x is None or self.train_y is None:
+            raise NotFitted("KNN params_digest before fit")
         h = hashlib.sha256()
         h.update(str(self.k).encode())
-        assert self.train_x is not None and self.train_y is not None
         h.update(np.ascontiguousarray(self.train_x).tobytes())
         h.update(np.ascontiguousarray(self.train_y, dtype=np.float64).tobytes())
         return h.hexdigest()

@@ -3,8 +3,10 @@
 Every class is brought up to the majority count. Each synthetic point picks
 a random base sample of the class and a random one of its k nearest
 same-class neighbors, then interpolates uniformly along the segment between
-them. Original rows are kept unchanged, synthetics are appended grouped by
-ascending class code.
+them. Neighbors come from the exact KD-tree search in :mod:`.neighbors`:
+ranked by (distance, index), with each point's own row excluded by index,
+so duplicated points still pick each other. Original rows are kept
+unchanged, synthetics are appended grouped by ascending class code.
 """
 
 from __future__ import annotations
@@ -13,32 +15,7 @@ import numpy as np
 
 from ..errors import ClassTooSmall
 from ..seeding import make_rng
-
-_CHUNK_BYTES = 32 * 1024 * 1024
-
-
-def _class_neighbors(points: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) indices of each point's k nearest same-class neighbors.
-
-    Self-matches are excluded by index, not by distance, so duplicated
-    points still pick genuine neighbors. Ties: (distance, index); a
-    partition finds the k-th order statistic, then candidates at or below
-    it are re-sorted stably.
-    """
-    n, dim = points.shape
-    out = np.empty((n, k), dtype=np.int64)
-    chunk = max(1, _CHUNK_BYTES // (n * dim * 8))
-    for start in range(0, n, chunk):
-        block = points[start : start + chunk]
-        d2 = ((block[:, np.newaxis, :] - points[np.newaxis, :, :]) ** 2).sum(axis=2)
-        rows = np.arange(block.shape[0])
-        d2[rows, start + rows] = np.inf  # never choose yourself
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        for i in rows:
-            candidates = np.flatnonzero(d2[i] <= kth[i])
-            ranked = candidates[np.argsort(d2[i, candidates], kind="stable")]
-            out[start + i] = ranked[:k]
-    return out
+from .neighbors import build_tree, check_finite, k_nearest
 
 
 def smote(
@@ -54,6 +31,7 @@ def smote(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    check_finite(features, "SMOTE feature")
     classes, counts = np.unique(labels, return_counts=True)
     small = classes[counts < 2]
     if small.size:
@@ -69,7 +47,7 @@ def smote(
         members = np.flatnonzero(labels == cls)
         points = features[members]
         k = min(k_neighbors, points.shape[0] - 1)
-        neighbors = _class_neighbors(points, k)
+        neighbors = k_nearest(build_tree(points), k)
         base = rng.integers(0, points.shape[0], size=deficit)
         pick = rng.integers(0, k, size=deficit)
         delta = rng.uniform(0.0, 1.0, size=deficit)

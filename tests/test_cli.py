@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import soilspec
 from soilspec.cli import main
 from soilspec.cubeio import read_observation_csv
 
@@ -11,6 +16,20 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_out_the_kd_tree():
+    # scipy.spatial adds about 0.12 s to every start-up; only KNN and SMOTE
+    # need it, and they import it on first use
+    src = str(Path(soilspec.__file__).resolve().parents[1])
+    probe = "import sys, soilspec.cli; sys.exit('scipy.spatial' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestTriangleCommand:

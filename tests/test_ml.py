@@ -7,6 +7,8 @@ from soilspec.errors import (
     EmptyTrainingSet,
     KTooLarge,
     LengthMismatch,
+    NotFitted,
+    NumericalFailure,
 )
 from soilspec.ml import (
     DecisionTreeClassifier,
@@ -19,14 +21,21 @@ from soilspec.ml import (
     regression_metrics,
     smote,
 )
+from soilspec.ml.neighbors import build_tree, k_nearest
+
+
+def brute_force_neighbors(train_x, q, k, exclude=None):
+    """Independent linear-scan ranking by (distance, index), minus `exclude`."""
+    d2 = np.sum((train_x - q) ** 2, axis=1)
+    rows = [j for j in range(train_x.shape[0]) if j != exclude]
+    return sorted(rows, key=lambda j: (d2[j], j))[:k]
 
 
 def brute_force_knn(train_x, train_y, queries, k, vote):
     """Independent linear-scan reference: sort by (distance, index)."""
     out = []
     for q in queries:
-        d2 = np.sum((train_x - q) ** 2, axis=1)
-        ranked = sorted(range(train_x.shape[0]), key=lambda j: (d2[j], j))[:k]
+        ranked = brute_force_neighbors(train_x, q, k)
         targets = train_y[ranked]
         if vote:
             counts = np.bincount(targets, minlength=int(train_y.max()) + 1)
@@ -95,6 +104,67 @@ class TestKnn:
     def test_empty_training(self):
         with pytest.raises(EmptyTrainingSet):
             KnnClassifier(k=1).fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_randomized_oracle(self, case):
+        # dims 1..13; continuous, grid (many ties) and duplicated rows;
+        # k from 1 to n_train
+        rng = np.random.default_rng(1000 + case)
+        dim = case % 13 + 1
+        n = int(rng.integers(2, 120))
+        kind = case % 3
+        if kind == 0:
+            X = rng.normal(0, 1, (n, dim))
+        elif kind == 1:
+            X = rng.integers(-2, 3, (n, dim)) * 0.25
+        else:
+            base = rng.normal(0, 1, (n // 4 + 1, dim))
+            X = base[rng.integers(0, len(base), n)]
+        k = (1, n, int(rng.integers(1, n + 1)))[case // 3 % 3]
+        queries = np.vstack(
+            [X[rng.integers(0, n, 10)], rng.integers(-2, 3, (10, dim)) * 0.5]
+        )
+        y = rng.integers(0, 4, n)
+        targets = rng.normal(0, 1, (n, 2))
+        classifier = KnnClassifier(k=k).fit(X, y)
+        expected = np.array([brute_force_neighbors(X, q, k) for q in queries])
+        assert np.array_equal(classifier._neighbor_indices(queries), expected)
+        assert np.array_equal(
+            classifier.predict(queries), brute_force_knn(X, y, queries, k, vote=True)
+        )
+        regressor = KnnRegressor(k=k).fit(X, targets)
+        assert np.array_equal(
+            regressor.predict(queries),
+            brute_force_knn(X, targets, queries, k, vote=False),
+        )
+
+    def test_thread_count_invariance(self):
+        rng = np.random.default_rng(68)
+        X = rng.integers(0, 6, (400, 2)) * 0.5  # grid: many boundary ties
+        y = rng.integers(0, 5, 400)
+        probe = rng.integers(0, 6, (300, 2)) * 0.5
+        serial = KnnClassifier(k=5, n_jobs=1).fit(X, y)
+        threaded = KnnClassifier(k=5, n_jobs=2).fit(X, y)
+        assert np.array_equal(serial.predict(probe), threaded.predict(probe))
+        assert serial.params_digest() == threaded.params_digest()
+
+    @pytest.mark.parametrize("learner", [KnnClassifier, KnnRegressor])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_named(self, learner, bad):
+        X = np.zeros((5, 2))
+        X[3, 1] = bad
+        y = np.zeros(5, dtype=int)
+        with pytest.raises(NumericalFailure, match="row 3"):
+            learner(k=1).fit(X, y)
+        model = learner(k=1).fit(np.zeros((5, 2)), y)
+        queries = np.zeros((4, 2))
+        queries[2, 0] = bad
+        with pytest.raises(NumericalFailure, match="row 2"):
+            model.predict(queries)
+
+    def test_params_digest_before_fit(self):
+        with pytest.raises(NotFitted):
+            KnnRegressor(k=1).params_digest()
 
 
 class TestDecisionTree:
@@ -248,6 +318,31 @@ class TestSmote:
         X = np.zeros((4, 2))
         y = np.array([0, 0, 0, 1])
         with pytest.raises(ClassTooSmall):
+            smote(X, y)
+
+    def test_neighbor_oracle_excludes_self_by_index(self):
+        # every point appears 2-3 times: self is dropped by index, so its
+        # duplicates (distance 0) are still chosen as neighbors
+        rng = np.random.default_rng(69)
+        for dim in (1, 2, 5, 13):
+            base = rng.integers(0, 3, (20, dim)) * 0.5
+            points = base[np.r_[np.arange(20), np.arange(20), np.arange(8)]]
+            for k in (1, 3, points.shape[0] - 1):
+                got = k_nearest(build_tree(points), k)
+                expected = [
+                    brute_force_neighbors(points, points[i], k, exclude=i)
+                    for i in range(points.shape[0])
+                ]
+                assert np.array_equal(got, np.array(expected))
+            first = k_nearest(build_tree(points), 1)[:, 0]
+            assert np.all(first != np.arange(points.shape[0]))
+            assert np.array_equal(points[first], points)
+
+    def test_non_finite_row_named(self):
+        X = np.zeros((6, 2))
+        X[4, 0] = np.nan
+        y = np.array([0, 0, 0, 0, 1, 1])
+        with pytest.raises(NumericalFailure, match="row 4"):
             smote(X, y)
 
     def test_deterministic_under_seed(self):
