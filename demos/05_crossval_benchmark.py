@@ -37,11 +37,15 @@ print(f"{len(table)} training blocks, {len(external)} validation blocks "
 
 plan = make_folds(table, seed=7)
 
-for model in (ModelSpec("knn", k=5), ModelSpec("dt")):
-    results = run_strategies(table, plan, [1, 2, 3], model)
-    agg1 = results[1].aggregates()
-    agg2 = results[2].aggregates()
-    agg3 = results[3].aggregates()
+# One fold stage fits the scaler, projection and SMOTE once per fold and
+# strategy family, and shares them between both models.
+models = [ModelSpec("knn", k=5), ModelSpec("dt")]
+results = run_strategies(table, plan, [1, 2, 3], models)
+
+for model in models:
+    agg1 = results[1, model.name].aggregates()
+    agg2 = results[2, model.name].aggregates()
+    agg3 = results[3, model.name].aggregates()
     print(f"\n=== {model.name} ===")
     print(f"  direct classification:   accuracy {agg1['accuracy'][0]:.4f} "
           f"+/- {agg1['accuracy'][1]:.4f}, macro F1 {agg1['macro_f1'][0]:.4f}")
@@ -54,12 +58,12 @@ for model in (ModelSpec("knn", k=5), ModelSpec("dt")):
     print(f"  composition regression:  R2 [{r2}], RMSE [{rmse}]")
     print(f"  indirect via triangle:   accuracy {agg3['accuracy'][0]:.4f} "
           f"+/- {agg3['accuracy'][1]:.4f}")
-    direct = [m["accuracy"] for m in results[1].fold_metrics()]
-    indirect = [m["accuracy"] for m in results[3].fold_metrics()]
+    direct = [m["accuracy"] for m in results[1, model.name].fold_metrics()]
+    indirect = [m["accuracy"] for m in results[3, model.name].fold_metrics()]
     wins = sum(i <= d for d, i in zip(direct, indirect))
     print(f"  indirect <= direct in {wins}/5 folds")
 
-report = run_external_validation(table, external, ModelSpec("knn", k=5), seed=7)
+report = run_external_validation(table, external, models[0], seed=7)["knn"]
 print("\n=== external validation (KNN, frozen transforms) ===")
 for component, r2, rmse in zip(("clay", "silt", "sand"), report.r2, report.rmse):
     print(f"  {component}: R2 {r2:.4f}, RMSE {rmse:.3f}")

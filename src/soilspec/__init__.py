@@ -16,7 +16,6 @@ from .core import (
     ROI_SIDE,
     Composition,
     DarkFrame,
-    Observation,
     ObservationTable,
     Roi,
     SpectralCube,
@@ -39,10 +38,7 @@ from .pipeline import (
     StrategyResult,
     make_folds,
     run_external_validation,
-    run_strategy,
-    run_strategy1,
-    run_strategy2,
-    run_strategy3,
+    run_strategies,
 )
 from .preprocess import (
     BandStats,

@@ -63,6 +63,28 @@ def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _parse_models(text: str) -> list[str]:
+    models = [m.strip() for m in text.split(",") if m.strip()]
+    if not set(models) <= set(pipeline.MODEL_NAMES) or len(set(models)) != len(models):
+        raise argparse.ArgumentTypeError(f"expected distinct models, got {text!r}")
+    if not models:
+        raise argparse.ArgumentTypeError("expected at least one model")
+    return models
+
+
+def _parse_strategies(text: str) -> list[int]:
+    parts = {s.strip() for s in text.split(",") if s.strip()}
+    if not parts or not parts <= {str(s) for s in pipeline.STRATEGY_IDS}:
+        raise argparse.ArgumentTypeError(f"expected strategies 1,2,3, got {text!r}")
+    return sorted(int(s) for s in parts)
+
+
 def cmd_generate(args) -> int:
     noise = synthgen.noise_preset(args.noise, seed=args.seed)
     endmembers = (
@@ -83,9 +105,8 @@ def cmd_generate(args) -> int:
         ]
         validation = [m for m in validation if m.replicate_count > 0]
     out_dir = Path(args.out)
-    threads = _threads(args)
     manifest = synthgen.generate_dataset(
-        (train, validation), endmembers, noise, out_dir, threads=threads
+        (train, validation), endmembers, noise, out_dir, threads=args.threads
     )
     RunConfig(
         command="generate",
@@ -95,7 +116,7 @@ def cmd_generate(args) -> int:
             "endmembers": args.endmembers,
             "replicates": list(args.replicates) if args.replicates else None,
             "out": str(out_dir),
-            "threads": threads,
+            "threads": args.threads,
         },
     ).write(out_dir)
     print(manifest)
@@ -107,9 +128,8 @@ def cmd_extract(args) -> int:
     params = NormalizationParams(kappa=args.kappa)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = _threads(args)
     tables = synthgen.extract_tables(
-        Path(args.data) / "manifest.csv", roi=roi, params=params, threads=threads
+        Path(args.data) / "manifest.csv", roi=roi, params=params, threads=args.threads
     )
     written = []
     for role, filename in (("train", "train.csv"), ("validation", "validation.csv")):
@@ -123,7 +143,7 @@ def cmd_extract(args) -> int:
             "out": str(out_dir),
             "roi": [args.roi[0], args.roi[1]],
             "kappa": args.kappa,
-            "threads": threads,
+            "threads": args.threads,
         },
     ).write(out_dir)
     for filename in written:
@@ -132,63 +152,47 @@ def cmd_extract(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    strategies = sorted({int(s) for s in args.strategies.split(",") if s.strip()})
-    for strategy in strategies:
-        if strategy not in pipeline.STRATEGY_IDS:
-            raise SoilspecError(f"unknown strategy {strategy}")
     features_dir = Path(args.features)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = _threads(args)
     table = read_observation_csv(features_dir / "train.csv")
     plan = pipeline.make_folds(
         table, seed=args.seed, granularity=args.granularity, stratify=args.stratify
     )
-    specs = {
-        name: ModelSpec(
+    specs = [
+        ModelSpec(
             name=name,
             k=args.k,
             n_trees=args.rf_trees,
             max_depth=args.max_depth,
             min_leaf=args.min_leaf,
-            n_jobs=threads,
+            n_jobs=args.threads,
         )
-        for name in models
-    }
-    results = []
-    by_model = {
-        name: pipeline.run_strategies(
-            table, plan, strategies, specs[name], scaler_scope=args.scaler_scope
-        )
-        for name in models
-    }
-    for strategy in strategies:
-        for name in models:
-            result = by_model[name][strategy]
-            results.append(result)
-            if result.pooled_confusion() is not None:
-                pipeline.write_confusion_csv(
-                    result, out_dir / f"confusion_s{strategy}_{name}.csv"
-                )
-    pipeline.write_results_csv(results, out_dir / "results.csv")
-    pipeline.write_aggregate_csv(results, out_dir / "aggregate.csv")
+        for name in args.models
+    ]
+    results = pipeline.run_strategies(
+        table, plan, args.strategies, specs, scaler_scope=args.scaler_scope
+    )
+    for (strategy, name), result in results.items():
+        if result.pooled_confusion() is not None:
+            pipeline.write_confusion_csv(
+                result, out_dir / f"confusion_s{strategy}_{name}.csv"
+            )
+    pipeline.write_results_csv(list(results.values()), out_dir / "results.csv")
+    pipeline.write_aggregate_csv(list(results.values()), out_dir / "aggregate.csv")
     if args.external_validation:
         validation = read_observation_csv(features_dir / "validation.csv")
-        reports = {
-            name: pipeline.run_external_validation(
-                table, validation, specs[name], seed=args.seed
-            )
-            for name in models
-        }
+        reports = pipeline.run_external_validation(
+            table, validation, *specs, seed=args.seed
+        )
         pipeline.write_external_csv(reports, out_dir / "external_validation.csv")
     RunConfig(
         command="evaluate",
         params={
             "features": str(features_dir),
             "out": str(out_dir),
-            "models": models,
-            "strategies": strategies,
+            "models": args.models,
+            "strategies": args.strategies,
             "granularity": args.granularity,
             "stratify": args.stratify,
             "seed": args.seed,
@@ -198,7 +202,7 @@ def cmd_evaluate(args) -> int:
             "max_depth": args.max_depth,
             "min_leaf": args.min_leaf,
             "external_validation": args.external_validation,
-            "threads": threads,
+            "threads": args.threads,
         },
     ).write(out_dir)
     print(out_dir / "aggregate.csv")
@@ -282,16 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run cross-validated strategies")
     p.add_argument("--features", required=True, help="directory with train.csv")
     p.add_argument("--out", required=True, help="output directory for result CSVs")
-    p.add_argument("--models", default="knn,rf,dt")
-    p.add_argument("--strategies", default="1,2,3")
+    p.add_argument("--models", type=_parse_models, default="knn,rf,dt")
+    p.add_argument("--strategies", type=_parse_strategies, default="1,2,3")
     p.add_argument("--granularity", choices=("block", "specimen"), default="block")
     p.add_argument("--stratify", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scaler-scope", choices=("fold", "pool"), default="fold")
-    p.add_argument("--k", type=int, default=5, help="KNN neighbor count")
-    p.add_argument("--rf-trees", type=int, default=20)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-leaf", type=int, default=1)
+    p.add_argument("--k", type=_positive_int, default=5, help="KNN neighbor count")
+    p.add_argument("--rf-trees", type=_positive_int, default=20)
+    p.add_argument("--max-depth", type=_positive_int, default=None)
+    p.add_argument("--min-leaf", type=_positive_int, default=1)
     p.add_argument("--external-validation", action="store_true")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -318,6 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "threads"):
+        try:
+            args.threads = _threads(args)
+        except ValueError:
+            parser.error(
+                f"{THREADS_ENV} must be an integer, got {os.environ[THREADS_ENV]!r}"
+            )
     try:
         return args.func(args)
     except SoilspecError as exc:

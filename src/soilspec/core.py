@@ -33,6 +33,9 @@ MAX_INTENSITY = 1023
 # Fixed crop window side used by the whole pipeline.
 ROI_SIDE = 100
 
+# The crop window is split into BLOCK_GRID x BLOCK_GRID feature blocks.
+BLOCK_GRID = 10
+
 # Composition components must sum to 100 within this absolute tolerance.
 COMPOSITION_TOL = 1e-6
 
@@ -207,28 +210,6 @@ class DarkFrame:
         )
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One block-level row: 13 band features plus targets and provenance."""
-
-    specimen_id: str
-    block_row: int  # 1..10
-    block_col: int  # 1..10
-    features: np.ndarray  # shape (13,)
-    composition: Composition
-    texture: TextureClass
-
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=float)
-        if feats.shape != (N_BANDS,):
-            raise DimensionMismatch(f"expected {N_BANDS} features, got {feats.shape}")
-        if not (1 <= self.block_row <= 10 and 1 <= self.block_col <= 10):
-            raise ValueError(
-                f"block indices ({self.block_row}, {self.block_col}) outside 1..10"
-            )
-        object.__setattr__(self, "features", feats)
-
-
 @dataclass
 class ObservationTable:
     """Column-oriented store for block-level observations.
@@ -286,15 +267,4 @@ class ObservationTable:
             features=features,
             compositions=self.compositions,
             texture_codes=self.texture_codes,
-        )
-
-    def row(self, i: int) -> Observation:
-        clay, silt, sand = self.compositions[i]
-        return Observation(
-            specimen_id=str(self.specimen_ids[i]),
-            block_row=int(self.block_rows[i]),
-            block_col=int(self.block_cols[i]),
-            features=self.features[i],
-            composition=validate_composition(clay, silt, sand),
-            texture=TextureClass.from_index(int(self.texture_codes[i])),
         )

@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     BAND_WAVELENGTHS_NM,
+    BLOCK_GRID,
     N_BANDS,
     DarkFrame,
     ObservationTable,
@@ -30,6 +31,7 @@ from .errors import (
     BandCountMismatch,
     IoFailure,
     MalformedHeader,
+    NumericalFailure,
     TruncatedPayload,
 )
 
@@ -157,6 +159,9 @@ def write_observation_csv(table: ObservationTable, path: str | Path) -> None:
 
 
 def read_observation_csv(path: str | Path) -> ObservationTable:
+    """Read an observation table, rejecting non-numeric or non-finite cells,
+    unknown texture names and block indices off the grid, each with the
+    file and 1-based line."""
     path = Path(path)
     try:
         with open(path, newline="") as fh:
@@ -176,13 +181,25 @@ def read_observation_csv(path: str | Path) -> ObservationTable:
     texture_codes = np.empty(n, dtype=np.int64)
     for i, row in enumerate(rows):
         if len(row) != len(OBSERVATION_HEADER):
-            raise MalformedHeader(f"{path}: row {i + 2} has {len(row)} fields")
+            raise MalformedHeader(f"{path}: line {i + 2} has {len(row)} fields")
         specimen_ids[i] = row[0]
-        block_rows[i] = int(row[1])
-        block_cols[i] = int(row[2])
-        features[i] = [float(v) for v in row[3 : 3 + N_BANDS]]
-        compositions[i] = [float(v) for v in row[3 + N_BANDS : 6 + N_BANDS]]
-        texture_codes[i] = TextureClass.from_name(row[6 + N_BANDS]).index
+        try:
+            block_rows[i] = int(row[1])
+            block_cols[i] = int(row[2])
+            features[i] = [float(v) for v in row[3 : 3 + N_BANDS]]
+            compositions[i] = [float(v) for v in row[3 + N_BANDS : 6 + N_BANDS]]
+            texture_codes[i] = TextureClass.from_name(row[6 + N_BANDS]).index
+        except (ValueError, OverflowError) as exc:
+            raise MalformedHeader(f"{path}: line {i + 2}: {exc}") from None
+    blocks = np.column_stack([block_rows, block_cols])
+    for bad, error, what in (
+        (~np.isfinite(np.column_stack([features, compositions])).all(axis=1),
+         NumericalFailure, "non-finite feature or composition"),
+        (((blocks < 1) | (blocks > BLOCK_GRID)).any(axis=1),
+         MalformedHeader, f"block index outside 1..{BLOCK_GRID}"),
+    ):
+        if bad.any():  # the header is line 1
+            raise error(f"{path}: line {np.flatnonzero(bad)[0] + 2}: {what}")
     return ObservationTable(
         specimen_ids=specimen_ids,
         block_rows=block_rows,

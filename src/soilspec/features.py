@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     BAND_WAVELENGTHS_NM,
+    BLOCK_GRID,
     N_BANDS,
     ROI_SIDE,
     Composition,
@@ -27,7 +28,6 @@ from .cubeio import fmt_float
 from .errors import DegenerateBand, DimensionMismatch, EmptyGroup, IoFailure, NotFitted
 from .preprocess import PreprocessedRoi
 
-BLOCK_GRID = 10
 BLOCK_SIDE = ROI_SIDE // BLOCK_GRID
 BLOCKS_PER_SPECIMEN = BLOCK_GRID * BLOCK_GRID
 

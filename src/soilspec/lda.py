@@ -198,9 +198,10 @@ def load_model(path: str | Path) -> LdaModel:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    labels = [row[:1] for row in rows[:4]]
+    if labels != [["k_selected"], ["ridge"], ["eigenvalues"], ["projection_rows"]]:
+        raise MalformedHeader(f"{path}: not a saved LDA model")
     try:
-        assert rows[0][0] == "k_selected" and rows[1][0] == "ridge"
-        assert rows[2][0] == "eigenvalues" and rows[3][0] == "projection_rows"
         k_selected = int(rows[0][1])
         ridge = float(rows[1][1])
         eigenvalues = np.array([float(v) for v in rows[2][1:]])
@@ -208,7 +209,7 @@ def load_model(path: str | Path) -> LdaModel:
         projection = np.array(
             [[float(v) for v in rows[4 + i]] for i in range(n_rows)]
         )
-    except (AssertionError, IndexError, ValueError) as exc:
+    except (IndexError, ValueError) as exc:
         raise MalformedHeader(f"{path}: not a saved LDA model") from exc
     return LdaModel(
         projection=projection,

@@ -40,7 +40,7 @@ class _KnnBase:
     def _neighbor_indices(self, queries: np.ndarray) -> np.ndarray:
         """(n_queries, k) training-row indices, nearest first."""
         if self.train_x is None:
-            raise EmptyTrainingSet("KNN predict before fit")
+            raise NotFitted("KNN predict before fit")
         queries = np.ascontiguousarray(queries, dtype=np.float64)
         check_finite(queries, "KNN query")
         return k_nearest(self._tree, self.k, queries, workers=self.n_jobs)

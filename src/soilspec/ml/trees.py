@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..errors import EmptyTrainingSet
+from ..errors import EmptyTrainingSet, NotFitted
 from ..seeding import derive_seed
 
 
@@ -206,6 +206,12 @@ def _prepare_targets_regression(targets: np.ndarray) -> tuple[np.ndarray, bool]:
     return targets, False
 
 
+def _fitted(tree: _Tree | None) -> _Tree:
+    if tree is None:
+        raise NotFitted("decision tree used before fit")
+    return tree
+
+
 class DecisionTreeClassifier:
     """Greedy Gini CART classifier over integer class labels."""
 
@@ -234,16 +240,14 @@ class DecisionTreeClassifier:
         return self
 
     def predict_counts(self, features) -> np.ndarray:
-        assert self._tree is not None, "predict before fit"
-        return self._tree.apply(np.asarray(features, dtype=np.float64))
+        return _fitted(self._tree).apply(np.asarray(features, dtype=np.float64))
 
     def predict(self, features) -> np.ndarray:
         return self.predict_counts(features).argmax(axis=1)
 
     def params_digest(self) -> str:
         h = hashlib.sha256()
-        assert self._tree is not None
-        self._tree.digest_into(h)
+        _fitted(self._tree).digest_into(h)
         return h.hexdigest()
 
 
@@ -270,14 +274,12 @@ class DecisionTreeRegressor:
         return self
 
     def predict(self, features) -> np.ndarray:
-        assert self._tree is not None, "predict before fit"
-        out = self._tree.apply(np.asarray(features, dtype=np.float64))
+        out = _fitted(self._tree).apply(np.asarray(features, dtype=np.float64))
         return out[:, 0] if self._squeeze else out
 
     def params_digest(self) -> str:
         h = hashlib.sha256()
-        assert self._tree is not None
-        self._tree.digest_into(h)
+        _fitted(self._tree).digest_into(h)
         return h.hexdigest()
 
 

@@ -2,13 +2,18 @@
 
 Strategy 1 classifies USDA texture classes directly; strategy 2 regresses
 (clay, silt, sand); strategy 3 pushes strategy-2 predictions through the
-texture triangle. Per fold, the scaler, the discriminant projection, the
-oversampler, and the learner are fitted on the training split only; the
-held-out fold is transformed with the frozen parameters.
+texture triangle. One fold stage is the only path from a training split to
+scores: `fit_fold` fits the scaler, the discriminant projection, the
+oversampler and one learner per model on the training split only;
+`evaluate_fold` transforms the held-out rows once with the frozen parameters
+and scores every model under every requested strategy. `run_strategies`
+runs the stage per fold and strategy family; `run_external_validation` runs
+it once, with the validation table as the test split.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,8 +49,9 @@ _SEED_SMOTE = 1
 _SEED_MODEL = 2
 
 
-def _strategy_seed_tag(strategy: int) -> int:
-    # Strategies 2 and 3 share one regression fit, so they share a seed path.
+def _family(strategy: int) -> int:
+    # Strategies 2 and 3 share one regression fit, so they form one family:
+    # it is both the family's seed tag and the strategy its fit runs under.
     return 1 if strategy == 1 else 2
 
 
@@ -224,7 +230,7 @@ class FoldArtifacts:
     strategy: int
     scaler: MinMaxScaler
     lda_model: LdaModel
-    learner: object
+    learners: dict[str, object]  # model name -> fitted learner, in spec order
     smote_features: np.ndarray | None = None
     smote_labels: np.ndarray | None = None
 
@@ -237,8 +243,9 @@ class FoldArtifacts:
                 np.array([self.lda_model.k_selected]),
                 np.array([self.lda_model.ridge]),
             ),
-            "learner": self.learner.params_digest(),
         }
+        for name, learner in self.learners.items():
+            out[f"learner_{name}"] = learner.params_digest()
         if self.smote_features is not None:
             out["smote"] = _digest(self.smote_features, self.smote_labels)
         return out
@@ -248,19 +255,25 @@ def fit_fold(
     table: ObservationTable,
     train_index: np.ndarray,
     strategy: int,
-    spec: ModelSpec,
+    *specs: ModelSpec,
     seed: int,
     scaler: MinMaxScaler | None = None,
 ) -> FoldArtifacts:
-    """Fit scaler, discriminant projection, and learner on one training split.
+    """Fit scaler, discriminant projection, and one learner per spec on one
+    training split.
 
     Strategy 1 supervises the projection with texture classes and balances
-    the projected training set with SMOTE before fitting the classifier;
+    the projected training set with SMOTE before fitting the classifiers;
     strategies 2 and 3 supervise with composition-group labels (one group
     per distinct mixture triple in the training split) and fit regressors
-    on the raw fractions. A pre-fitted scaler may be passed for pool-scoped
-    scaling; by default the scaler is fitted on the training split.
+    on the raw fractions. Every spec shares the transforms, and each learner
+    gets the seed it would get alone. A pre-fitted scaler may be passed for
+    pool-scoped scaling; by default the scaler is fitted on the training
+    split.
     """
+    names = [spec.name for spec in specs]
+    if not names or len(set(names)) != len(names):
+        raise ValueError(f"need one or more distinct model specs, got {names}")
     train = table.select(train_index)
     if scaler is None:
         scaler = MinMaxScaler().fit(train.features)
@@ -278,23 +291,21 @@ def fit_fold(
             train.texture_codes,
             seed=derive_seed(seed, _SEED_SMOTE),
         )
-        learner = _make_classifier(spec, derive_seed(seed, _SEED_MODEL))
-        learner.fit(smote_features, smote_labels)
+        make, features, targets = _make_classifier, smote_features, smote_labels
     else:
-        learner = _make_regressor(spec, derive_seed(seed, _SEED_MODEL))
-        learner.fit(projected, train.compositions)
+        make, features, targets = _make_regressor, projected, train.compositions
+    learners = {
+        spec.name: make(spec, derive_seed(seed, _SEED_MODEL)).fit(features, targets)
+        for spec in specs
+    }
     return FoldArtifacts(
         strategy=strategy,
         scaler=scaler,
         lda_model=lda_model,
-        learner=learner,
+        learners=learners,
         smote_features=smote_features,
         smote_labels=smote_labels,
     )
-
-
-def _regression_report(test: ObservationTable, predicted: np.ndarray):
-    return regression_metrics(test.compositions, predicted)
 
 
 def _triangle_report(test: ObservationTable, predicted: np.ndarray):
@@ -310,22 +321,29 @@ def evaluate_fold(
     artifacts: FoldArtifacts,
     table: ObservationTable,
     test_index: np.ndarray,
-    as_strategy: int | None = None,
-):
+    strategies: list[int],
+) -> dict[tuple[int, str], object]:
     """Apply frozen fold transforms to the held-out rows and score them.
 
-    `as_strategy` re-scores regression artifacts under another strategy's
-    metric (strategies 2 and 3 share the same fitted pipeline).
+    The test rows are transformed and projected once; each learner predicts
+    once, and that prediction is scored under every requested strategy
+    (strategy 2 and 3 share the regression artifacts). Returns
+    ``{(strategy, model): report}``, strategy first, then model in spec
+    order.
     """
-    strategy = as_strategy if as_strategy is not None else artifacts.strategy
+    if any(_family(s) != _family(artifacts.strategy) for s in strategies):
+        raise ValueError(f"strategy-{artifacts.strategy} fit cannot score {strategies}")
     test = table.select(test_index)
     projected = project(artifacts.lda_model, artifacts.scaler.transform(test.features))
-    predicted = artifacts.learner.predict(projected)
-    if strategy == 1:
-        return classification_metrics(test.texture_codes, predicted, N_CLASSES)
-    if strategy == 2:
-        return _regression_report(test, predicted)
-    return _triangle_report(test, predicted)
+    predicted = {
+        name: learner.predict(projected) for name, learner in artifacts.learners.items()
+    }
+    score = {
+        1: lambda p: classification_metrics(test.texture_codes, p, N_CLASSES),
+        2: lambda p: regression_metrics(test.compositions, p),
+        3: lambda p: _triangle_report(test, p),
+    }
+    return {(s, name): score[s](p) for s in strategies for name, p in predicted.items()}
 
 
 @dataclass
@@ -376,15 +394,18 @@ def run_strategies(
     table: ObservationTable,
     plan: CvPlan,
     strategies: list[int],
-    spec: ModelSpec,
+    specs: list[ModelSpec],
     scaler_scope: str = "fold",
-) -> dict[int, StrategyResult]:
-    """Run several strategies over the same folds with one model spec.
+) -> dict[tuple[int, str], StrategyResult]:
+    """Run several strategies and models over the same folds.
 
-    Strategies 2 and 3 share the regression fit and its test-fold
-    predictions per fold; strategy 3 only adds the triangle mapping. Fold
-    seeds depend on (plan seed, strategy family, fold), so results are
-    identical whether strategies run together or separately.
+    Per fold, each strategy family (classification; regression for
+    strategies 2 and 3) fits its transforms once, one learner per spec, and
+    scores every requested strategy of the family from one prediction per
+    learner. Fold seeds depend on (plan seed, strategy family, fold), so
+    results are identical whether strategies and models run together or
+    separately. Returns ``{(strategy, model): result}``, strategy first,
+    then model in spec order.
     """
     for strategy in strategies:
         if strategy not in STRATEGY_IDS:
@@ -394,82 +415,50 @@ def run_strategies(
     pool_scaler = (
         MinMaxScaler().fit(table.features) if scaler_scope == "pool" else None
     )
-    results = {s: StrategyResult(strategy=s, model=spec.name) for s in strategies}
-    regression = [s for s in strategies if s != 1]
+    results = {
+        (s, spec.name): StrategyResult(strategy=s, model=spec.name)
+        for s in strategies
+        for spec in specs
+    }
+    families = {}
+    for strategy in strategies:
+        families.setdefault(_family(strategy), []).append(strategy)
     for fold in range(1, plan.n_folds + 1):
         train_index = plan.train_index(fold)
         test_index = plan.test_index(fold)
-        if 1 in results:
+        for family, members in sorted(families.items()):
             artifacts = fit_fold(
-                table, train_index, 1, spec,
-                seed=derive_seed(plan.seed, _strategy_seed_tag(1), fold),
+                table, train_index, family, *specs,
+                seed=derive_seed(plan.seed, family, fold),
                 scaler=pool_scaler,
             )
-            results[1].fold_reports.append(
-                evaluate_fold(artifacts, table, test_index)
-            )
-        if regression:
-            artifacts = fit_fold(
-                table, train_index, 2, spec,
-                seed=derive_seed(plan.seed, _strategy_seed_tag(2), fold),
-                scaler=pool_scaler,
-            )
-            test = table.select(test_index)
-            projected = project(
-                artifacts.lda_model, artifacts.scaler.transform(test.features)
-            )
-            predicted = artifacts.learner.predict(projected)
-            if 2 in results:
-                results[2].fold_reports.append(_regression_report(test, predicted))
-            if 3 in results:
-                results[3].fold_reports.append(_triangle_report(test, predicted))
+            reports = evaluate_fold(artifacts, table, test_index, members)
+            for key, report in reports.items():
+                results[key].fold_reports.append(report)
     return results
-
-
-def run_strategy(
-    table: ObservationTable,
-    plan: CvPlan,
-    strategy: int,
-    spec: ModelSpec,
-    scaler_scope: str = "fold",
-) -> StrategyResult:
-    """Run one strategy across all folds of the plan."""
-    return run_strategies(table, plan, [strategy], spec, scaler_scope)[strategy]
-
-
-def run_strategy1(table, plan, spec, scaler_scope="fold") -> StrategyResult:
-    return run_strategy(table, plan, 1, spec, scaler_scope)
-
-
-def run_strategy2(table, plan, spec, scaler_scope="fold") -> StrategyResult:
-    return run_strategy(table, plan, 2, spec, scaler_scope)
-
-
-def run_strategy3(table, plan, spec, scaler_scope="fold") -> StrategyResult:
-    return run_strategy(table, plan, 3, spec, scaler_scope)
 
 
 def run_external_validation(
     train_table: ObservationTable,
     validation_table: ObservationTable,
-    spec: ModelSpec,
+    *specs: ModelSpec,
     seed: int = 0,
-) -> RegressionReport:
-    """Fit scaler + projection + regressor on the full training table, then
-    score the frozen transforms on the external validation table."""
+) -> dict[str, RegressionReport]:
+    """Fit scaler + projection + one regressor per spec on the full training
+    table, then score the frozen transforms on the external validation
+    table. Returns ``{model: report}``."""
     train_ids = set(map(str, train_table.specimen_ids))
     validation_ids = set(map(str, validation_table.specimen_ids))
     shared = train_ids & validation_ids
     if shared:
         raise SpecimenOverlap(f"specimen ids in both tables: {sorted(shared)[:5]}")
     artifacts = fit_fold(
-        train_table,
-        np.arange(len(train_table)),
-        strategy=2,
-        spec=spec,
-        seed=derive_seed(seed, 4),
+        train_table, np.arange(len(train_table)), 2, *specs, seed=derive_seed(seed, 4)
     )
-    return evaluate_fold(artifacts, validation_table, np.arange(len(validation_table)))
+    reports = evaluate_fold(
+        artifacts, validation_table, np.arange(len(validation_table)), [2]
+    )
+    return {name: report for (_, name), report in reports.items()}
 
 
 # -- result serialization ------------------------------------------------------
@@ -478,79 +467,60 @@ RESULTS_HEADER = ["strategy", "model", "fold", "metric", "value"]
 AGGREGATE_HEADER = ["strategy", "model", "metric", "mean", "std"]
 
 
-def write_results_csv(results: list[StrategyResult], path: str | Path) -> None:
-    import csv
-
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(RESULTS_HEADER)
-            for result in results:
-                for fold, metrics in enumerate(result.fold_metrics(), start=1):
-                    for metric, value in metrics.items():
-                        writer.writerow(
-                            [
-                                str(result.strategy),
-                                result.model,
-                                str(fold),
-                                metric,
-                                fmt_float(value),
-                            ]
-                        )
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def write_results_csv(results: list[StrategyResult], path: str | Path) -> None:
+    _write_csv(
+        path,
+        RESULTS_HEADER,
+        (
+            [str(result.strategy), result.model, str(fold), metric, fmt_float(value)]
+            for result in results
+            for fold, metrics in enumerate(result.fold_metrics(), start=1)
+            for metric, value in metrics.items()
+        ),
+    )
 
 
 def write_aggregate_csv(results: list[StrategyResult], path: str | Path) -> None:
-    import csv
-
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(AGGREGATE_HEADER)
-            for result in results:
-                for metric, (mean, std) in result.aggregates().items():
-                    writer.writerow(
-                        [
-                            str(result.strategy),
-                            result.model,
-                            metric,
-                            fmt_float(mean),
-                            fmt_float(std),
-                        ]
-                    )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_csv(
+        path,
+        AGGREGATE_HEADER,
+        (
+            [str(result.strategy), result.model, metric, fmt_float(m), fmt_float(sd)]
+            for result in results
+            for metric, (m, sd) in result.aggregates().items()
+        ),
+    )
 
 
 def write_confusion_csv(result: StrategyResult, path: str | Path) -> None:
-    import csv
-
     normalized = result.pooled_confusion()
     if normalized is None:
         raise ValueError("confusion output only applies to classification results")
     names = [c.value for c in TextureClass]
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class"] + names)
-            for name, row in zip(names, normalized):
-                writer.writerow([name] + [fmt_float(v) for v in row])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_csv(
+        path,
+        ["class"] + names,
+        ([name] + [fmt_float(v) for v in row] for name, row in zip(names, normalized)),
+    )
 
 
-def write_external_csv(
-    reports: dict[str, RegressionReport], path: str | Path
-) -> None:
-    import csv
-
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "metric", "value"])
-            for model in sorted(reports):
-                for metric, value in reports[model].metric_dict().items():
-                    writer.writerow([model, metric, fmt_float(value)])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+def write_external_csv(reports: dict[str, RegressionReport], path: str | Path) -> None:
+    _write_csv(
+        path,
+        ["model", "metric", "value"],
+        (
+            [model, metric, fmt_float(value)]
+            for model in sorted(reports)
+            for metric, value in reports[model].metric_dict().items()
+        ),
+    )

@@ -124,10 +124,10 @@ def classify_composition(composition: Composition) -> TextureClass:
             f"({clay}, {silt}, {sand}) is not on the 100% simplex; "
             "renormalize predictions first"
         )
-    for rule in TRIANGLE_RULES:
-        if bool(rule.predicate(clay, silt, sand)):
-            return rule.texture
-    raise OffSimplex(f"({clay}, {silt}, {sand}) matched no triangle region")
+    code = int(classify_percentages(clay, silt, sand))
+    if code < 0:
+        raise OffSimplex(f"({clay}, {silt}, {sand}) matched no triangle region")
+    return TextureClass.from_index(code)
 
 
 def normalize_prediction(clay: float, silt: float, sand: float) -> Composition:
@@ -136,16 +136,13 @@ def normalize_prediction(clay: float, silt: float, sand: float) -> Composition:
     Regression outputs estimate each fraction independently, so their sums
     drift; this projects them back onto the simplex before triangle lookup.
     """
-    values = np.array([clay, silt, sand], dtype=np.float64)
-    values = np.maximum(values, 0.0)
-    total = values.sum()
-    if total <= 0.0:
-        raise AllNonPositive(f"no positive component in ({clay}, {silt}, {sand})")
-    # dividing before scaling keeps subnormal totals from overflowing
-    values = values / total * 100.0
-    return Composition(
-        float(values[0]), float(values[1]), float(values[2]), predicted=True
-    )
+    try:
+        ((clay_n, silt_n, sand_n),) = normalize_predictions([[clay, silt, sand]])
+    except AllNonPositive:
+        raise AllNonPositive(
+            f"no positive component in ({clay}, {silt}, {sand})"
+        ) from None
+    return Composition(float(clay_n), float(silt_n), float(sand_n), predicted=True)
 
 
 def normalize_predictions(triples: np.ndarray) -> np.ndarray:
@@ -155,6 +152,7 @@ def normalize_predictions(triples: np.ndarray) -> np.ndarray:
     if np.any(totals <= 0.0):
         bad = int(np.flatnonzero(totals <= 0.0)[0])
         raise AllNonPositive(f"row {bad} has no positive component")
+    # dividing before scaling keeps subnormal totals from overflowing
     return triples / totals[:, np.newaxis] * 100.0
 
 

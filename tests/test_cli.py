@@ -105,6 +105,37 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--models", "foo"),
+            ("--models", "knn,knn"),
+            ("--models", ""),
+            ("--strategies", "a"),
+            ("--strategies", "4"),
+            ("--strategies", ""),
+            ("--k", "0"),
+            ("--rf-trees", "0"),
+            ("--min-leaf", "-1"),
+            ("--max-depth", "x"),
+        ],
+    )
+    def test_bad_evaluate_value_exits_two(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--features", str(tmp_path), "--out",
+                  str(tmp_path / "results"), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    def test_bad_threads_env_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SOILSPEC_THREADS", "x")
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out", str(tmp_path / "data")])
+        assert exc.value.code == 2
+        assert "SOILSPEC_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_missing_features_dir_is_domain_error(self, tmp_path, capsys):
         code, _, err = run(
             ["evaluate", "--features", str(tmp_path / "nope"),
@@ -226,6 +257,21 @@ class TestEndToEnd:
         assert (tmp_path / "again" / "cubes" / "train-05-01.msc").read_bytes() == (
             data / "cubes" / "train-05-01.msc"
         ).read_bytes()
+
+    def test_nan_feature_cell_names_the_line(self, tiny_run, tmp_path, capsys):
+        base, data, features = tiny_run
+        lines = (features / "train.csv").read_text().splitlines()
+        fields = lines[6].split(",")
+        fields[3] = "nan"
+        lines[6] = ",".join(fields)
+        (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out",
+             str(tmp_path / "results"), "--models", "knn", "--strategies", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert "train.csv: line 7" in err
 
     def test_repeat_evaluate_identical_results(self, tiny_run, capsys):
         base, data, features = tiny_run

@@ -26,6 +26,7 @@ from soilspec.errors import (
     IntensityOverflow,
     MalformedHeader,
     NegativeComponent,
+    NumericalFailure,
     SumViolation,
     TruncatedPayload,
 )
@@ -224,9 +225,25 @@ class TestObservationCsv:
         with pytest.raises(MalformedHeader):
             read_observation_csv(path)
 
-    def test_row_view(self):
-        table = make_table()
-        obs = table.row(0)
-        assert obs.specimen_id == "s0"
-        assert obs.block_row == 1 and obs.block_col == 1
-        assert obs.features.shape == (N_BANDS,)
+    @pytest.mark.parametrize(
+        "column, cell, error",
+        [
+            ("f365", "abc", MalformedHeader),
+            ("block_row", "1.5", MalformedHeader),
+            ("texture", "Mud", MalformedHeader),
+            ("f530", "nan", NumericalFailure),
+            ("sand", "inf", NumericalFailure),
+            ("block_row", "0", MalformedHeader),
+            ("block_col", "11", MalformedHeader),
+        ],
+    )
+    def test_bad_cell_names_file_and_line(self, tmp_path, column, cell, error):
+        path = tmp_path / "obs.csv"
+        write_observation_csv(make_table(), path)
+        lines = path.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[OBSERVATION_HEADER.index(column)] = cell
+        lines[4] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error, match=r"obs\.csv: line 5\b"):
+            read_observation_csv(path)

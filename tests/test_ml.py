@@ -166,8 +166,28 @@ class TestKnn:
         with pytest.raises(NotFitted):
             KnnRegressor(k=1).params_digest()
 
+    @pytest.mark.parametrize("learner", [KnnClassifier, KnnRegressor])
+    def test_predict_before_fit(self, learner):
+        with pytest.raises(NotFitted):
+            learner(k=1).predict(np.zeros((2, 2)))
+
 
 class TestDecisionTree:
+    @pytest.mark.parametrize(
+        "learner, method",
+        [
+            (DecisionTreeClassifier, "predict"),
+            (DecisionTreeClassifier, "predict_counts"),
+            (DecisionTreeClassifier, "params_digest"),
+            (DecisionTreeRegressor, "predict"),
+            (DecisionTreeRegressor, "params_digest"),
+        ],
+    )
+    def test_use_before_fit(self, learner, method):
+        args = () if method == "params_digest" else (np.zeros((2, 2)),)
+        with pytest.raises(NotFitted):
+            getattr(learner(), method)(*args)
+
     def test_separable_one_feature(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
         y = np.array([0, 0, 0, 1, 1, 1])

@@ -9,7 +9,7 @@ from soilspec.pipeline import (
     fit_fold,
     make_folds,
     run_external_validation,
-    run_strategy,
+    run_strategies,
     write_aggregate_csv,
     write_confusion_csv,
     write_results_csv,
@@ -44,6 +44,11 @@ def cluster_table(
         texture_codes=np.array(codes),
     )
 
+
+
+def run_one(table, plan, strategy, spec):
+    """The result of one strategy run with one model."""
+    return run_strategies(table, plan, [strategy], [spec])[strategy, spec.name]
 
 class TestMakeFolds:
     def test_ten_rows_even_split(self):
@@ -102,14 +107,14 @@ class TestStrategies:
     def test_strategy1_memorizing_knn_perfect(self):
         table = cluster_table(noise=0.0, seed=10)
         plan = make_folds(table, seed=11)
-        result = run_strategy(table, plan, 1, ModelSpec("knn", k=1))
+        result = run_one(table, plan, 1, ModelSpec("knn", k=1))
         for metrics in result.fold_metrics():
             assert metrics["accuracy"] == 1.0
 
     def test_strategy2_memorizing_knn_perfect(self):
         table = cluster_table(noise=0.0, seed=12)
         plan = make_folds(table, seed=13)
-        result = run_strategy(table, plan, 2, ModelSpec("knn", k=1))
+        result = run_one(table, plan, 2, ModelSpec("knn", k=1))
         for metrics in result.fold_metrics():
             assert metrics["r2_clay"] == pytest.approx(1.0, abs=1e-12)
             assert metrics["r2_silt"] == pytest.approx(1.0, abs=1e-12)
@@ -126,14 +131,14 @@ class TestStrategies:
             table.compositions[:, 2],
         )
         plan = make_folds(table, seed=15)
-        result = run_strategy(table, plan, 3, ModelSpec("knn", k=1))
+        result = run_one(table, plan, 3, ModelSpec("knn", k=1))
         for metrics in result.fold_metrics():
             assert metrics["accuracy"] == 1.0
 
     def test_aggregate_equals_mean_of_folds(self):
         table = cluster_table(noise=2.0, seed=16)
         plan = make_folds(table, seed=17)
-        result = run_strategy(table, plan, 1, ModelSpec("knn", k=3))
+        result = run_one(table, plan, 1, ModelSpec("knn", k=3))
         per_fold = result.fold_metrics()
         for metric, (mean, std) in result.aggregates().items():
             values = np.array([fold[metric] for fold in per_fold])
@@ -158,7 +163,7 @@ class TestStrategies:
             projected = project(
                 artifacts.lda_model, artifacts.scaler.transform(test.features)
             )
-            sums.append(artifacts.learner.predict(projected).sum(axis=1))
+            sums.append(artifacts.learners["dt"].predict(projected).sum(axis=1))
         sums = np.concatenate(sums)
         assert np.mean((sums >= 90.0) & (sums <= 110.0)) >= 0.99
 
@@ -174,7 +179,7 @@ class TestStrategies:
             table.compositions[:, 2],
         )
         plan = make_folds(table, seed=19)
-        result = run_strategy(table, plan, 3, ModelSpec("dt", max_depth=6))
+        result = run_one(table, plan, 3, ModelSpec("dt", max_depth=6))
         for metrics in result.fold_metrics():
             assert 0.0 <= metrics["accuracy"] <= 1.0
 
@@ -208,14 +213,69 @@ class TestLeakage:
         artifacts = fit_fold(
             table, plan.train_index(fold), 1, ModelSpec("knn"), seed=7
         )
-        report = evaluate_fold(artifacts, table, plan.test_index(fold))
+        (report,) = evaluate_fold(
+            artifacts, table, plan.test_index(fold), [1]
+        ).values()
         rng = np.random.default_rng(25)
         tampered = table.select(np.arange(len(table)))
         test_index = plan.test_index(fold)
         tampered.texture_codes[test_index] = rng.integers(0, 12, test_index.size)
-        tampered_report = evaluate_fold(artifacts, tampered, test_index)
+        (tampered_report,) = evaluate_fold(
+            artifacts, tampered, test_index, [1]
+        ).values()
         assert tampered_report.accuracy != report.accuracy
 
+
+
+class TestSharedFoldStage:
+    SPECS = [ModelSpec("knn", k=3), ModelSpec("rf", n_trees=3), ModelSpec("dt")]
+
+    def test_joint_run_matches_single_model_runs(self, tmp_path):
+        table = cluster_table(noise=2.0, seed=40)
+        plan = make_folds(table, seed=41)
+        joint = run_strategies(table, plan, [1, 2, 3], self.SPECS)
+        assert list(joint) == [
+            (s, spec.name) for s in (1, 2, 3) for spec in self.SPECS
+        ]
+        single = {}
+        for spec in self.SPECS:
+            single.update(run_strategies(table, plan, [1, 2, 3], [spec]))
+        single = [single[key] for key in joint]
+        for a, b in zip(joint.values(), single):
+            assert a.fold_metrics() == b.fold_metrics()
+        for name, writer in (
+            ("results.csv", write_results_csv),
+            ("aggregate.csv", write_aggregate_csv),
+        ):
+            writer(list(joint.values()), tmp_path / f"joint-{name}")
+            writer(single, tmp_path / f"single-{name}")
+            assert (tmp_path / f"joint-{name}").read_bytes() == (
+                tmp_path / f"single-{name}"
+            ).read_bytes()
+
+    @pytest.mark.parametrize("strategy", [1, 2])
+    def test_joint_fit_gives_each_learner_its_single_fit(self, strategy):
+        table = cluster_table(noise=1.0, seed=42)
+        train_index = make_folds(table, seed=43).train_index(2)
+        joint = fit_fold(table, train_index, strategy, *self.SPECS, seed=9).digests()
+        for spec in self.SPECS:
+            alone = fit_fold(table, train_index, strategy, spec, seed=9).digests()
+            assert f"learner_{spec.name}" in alone
+            assert alone.items() <= joint.items()
+
+    @pytest.mark.parametrize("names", [(), ("knn", "knn")])
+    def test_fit_fold_needs_distinct_specs(self, names):
+        table = cluster_table(seed=44)
+        specs = [ModelSpec(name) for name in names]
+        with pytest.raises(ValueError):
+            fit_fold(table, np.arange(len(table)), 2, *specs, seed=0)
+
+    def test_evaluate_fold_rejects_other_family(self):
+        table = cluster_table(seed=45)
+        index = np.arange(len(table))
+        artifacts = fit_fold(table, index, 2, ModelSpec("knn"), seed=0)
+        with pytest.raises(ValueError):
+            evaluate_fold(artifacts, table, index, [1])
 
 class TestExternalValidation:
     def test_copy_with_fresh_ids_is_perfect(self):
@@ -224,8 +284,23 @@ class TestExternalValidation:
         renamed.specimen_ids = np.array(
             [f"val-{s}" for s in table.specimen_ids], dtype=object
         )
-        report = run_external_validation(table, renamed, ModelSpec("knn", k=1))
-        assert report.r2 == (1.0, 1.0, 1.0)
+        reports = run_external_validation(table, renamed, ModelSpec("knn", k=1))
+        assert reports["knn"].r2 == (1.0, 1.0, 1.0)
+
+    def test_joint_reports_match_single_spec_runs(self):
+        table = cluster_table(noise=2.0, seed=46)
+        external = cluster_table(noise=2.0, seed=46, specimens_per_mixture=2)
+        external.specimen_ids = np.array(
+            [f"val-{s}" for s in external.specimen_ids], dtype=object
+        )
+        specs = [ModelSpec("knn", k=3), ModelSpec("rf", n_trees=3)]
+        joint = run_external_validation(table, external, *specs, seed=5)
+        assert list(joint) == ["knn", "rf"]
+        for spec in specs:
+            (alone,) = run_external_validation(
+                table, external, spec, seed=5
+            ).values()
+            assert joint[spec.name].metric_dict() == alone.metric_dict()
 
     def test_specimen_overlap_rejected(self):
         table = cluster_table(seed=27)
@@ -238,8 +313,8 @@ class TestResultCsv:
         table = cluster_table(noise=2.0, seed=28)
         plan = make_folds(table, seed=29)
         results = [
-            run_strategy(table, plan, 1, ModelSpec("knn", k=3)),
-            run_strategy(table, plan, 2, ModelSpec("knn", k=3)),
+            run_one(table, plan, 1, ModelSpec("knn", k=3)),
+            run_one(table, plan, 2, ModelSpec("knn", k=3)),
         ]
         write_results_csv(results, tmp_path / "results.csv")
         write_aggregate_csv(results, tmp_path / "aggregate.csv")
@@ -260,7 +335,7 @@ class TestResultCsv:
     def test_confusion_csv_shape(self, tmp_path):
         table = cluster_table(noise=2.0, seed=30)
         plan = make_folds(table, seed=31)
-        result = run_strategy(table, plan, 1, ModelSpec("knn", k=3))
+        result = run_one(table, plan, 1, ModelSpec("knn", k=3))
         path = tmp_path / "confusion.csv"
         write_confusion_csv(result, path)
         lines = path.read_text().splitlines()
