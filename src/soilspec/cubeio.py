@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     BAND_WAVELENGTHS_NM,
     BLOCK_GRID,
+    COMPOSITION_TOL,
     N_BANDS,
     DarkFrame,
     ObservationTable,
@@ -31,7 +32,9 @@ from .errors import (
     BandCountMismatch,
     IoFailure,
     MalformedHeader,
+    NegativeComponent,
     NumericalFailure,
+    SumViolation,
     TruncatedPayload,
 )
 
@@ -53,7 +56,11 @@ def _pack(wavelengths: tuple[int, ...], planes: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def _unpack(raw: bytes, path: Path) -> tuple[tuple[int, ...], np.ndarray]:
+def _unpack(path: Path) -> tuple[tuple[int, ...], np.ndarray]:
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
     if len(raw) < _HEADER.size:
         raise MalformedHeader(f"{path}: file shorter than the fixed header")
     magic, bands, width, height = _HEADER.unpack_from(raw)
@@ -93,11 +100,7 @@ def write_cube(cube: SpectralCube, path: str | Path) -> None:
 def read_cube(path: str | Path) -> SpectralCube:
     """Read a 13-band MSC1 cube, validating header, payload, and range."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    wavelengths, planes = _unpack(raw, path)
+    wavelengths, planes = _unpack(path)
     if len(wavelengths) != N_BANDS:
         raise BandCountMismatch(
             f"{path}: header declares {len(wavelengths)} bands, expected {N_BANDS}"
@@ -119,11 +122,7 @@ def write_dark_frame(dark: DarkFrame, path: str | Path) -> None:
 
 def read_dark_frame(path: str | Path) -> DarkFrame:
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    wavelengths, planes = _unpack(raw, path)
+    wavelengths, planes = _unpack(path)
     if len(wavelengths) != 1:
         raise BandCountMismatch(
             f"{path}: dark frame declares {len(wavelengths)} bands, expected 1"
@@ -158,10 +157,16 @@ def write_observation_csv(table: ObservationTable, path: str | Path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _reject_first(path: Path, bad: np.ndarray, error: type, what: str) -> None:
+    if bad.any():  # the header is line 1
+        raise error(f"{path}: line {np.flatnonzero(bad)[0] + 2}: {what}")
+
+
 def read_observation_csv(path: str | Path) -> ObservationTable:
     """Read an observation table, rejecting non-numeric or non-finite cells,
-    unknown texture names and block indices off the grid, each with the
-    file and 1-based line."""
+    unknown texture names, block indices off the grid, compositions off the
+    100% simplex and repeated (specimen, block) pairs, each with the file
+    and 1-based line. A table with no rows is rejected too."""
     path = Path(path)
     try:
         with open(path, newline="") as fh:
@@ -172,6 +177,8 @@ def read_observation_csv(path: str | Path) -> ObservationTable:
             rows = list(reader)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise MalformedHeader(f"{path}: no observation rows after the header")
     n = len(rows)
     specimen_ids = np.empty(n, dtype=object)
     block_rows = np.empty(n, dtype=np.int64)
@@ -191,15 +198,22 @@ def read_observation_csv(path: str | Path) -> ObservationTable:
             texture_codes[i] = TextureClass.from_name(row[6 + N_BANDS]).index
         except (ValueError, OverflowError) as exc:
             raise MalformedHeader(f"{path}: line {i + 2}: {exc}") from None
+    finite = np.isfinite(np.column_stack([features, compositions])).all(axis=1)
+    _reject_first(path, ~finite, NumericalFailure, "non-finite feature or composition")
     blocks = np.column_stack([block_rows, block_cols])
-    for bad, error, what in (
-        (~np.isfinite(np.column_stack([features, compositions])).all(axis=1),
-         NumericalFailure, "non-finite feature or composition"),
-        (((blocks < 1) | (blocks > BLOCK_GRID)).any(axis=1),
-         MalformedHeader, f"block index outside 1..{BLOCK_GRID}"),
-    ):
-        if bad.any():  # the header is line 1
-            raise error(f"{path}: line {np.flatnonzero(bad)[0] + 2}: {what}")
+    _reject_first(path, ((blocks < 1) | (blocks > BLOCK_GRID)).any(axis=1),
+                  MalformedHeader, f"block index outside 1..{BLOCK_GRID}")
+    _reject_first(path, ((compositions < 0.0) | (compositions > 100.0)).any(axis=1),
+                  NegativeComponent, "composition component outside [0, 100]")
+    clay, silt, sand = compositions.T
+    _reject_first(path, np.abs(clay + silt + sand - 100.0) > COMPOSITION_TOL,
+                  SumViolation, "composition does not sum to 100")
+    _, specimen = np.unique(specimen_ids.astype(str), return_inverse=True)
+    _, first = np.unique(np.column_stack([specimen, blocks]), axis=0, return_index=True)
+    repeated = np.ones(n, dtype=bool)
+    repeated[first] = False  # every row but the first of its (specimen, block)
+    _reject_first(path, repeated, MalformedHeader,
+                  "repeats an earlier (specimen, block_row, block_col)")
     return ObservationTable(
         specimen_ids=specimen_ids,
         block_rows=block_rows,

@@ -6,15 +6,18 @@ minimizes Gini impurity (classification) or summed squared error
 distinct sorted values. Ties prefer the first feature in evaluation order
 and the smallest threshold, so training is fully deterministic.
 
-Forests fit trees on bootstrap resamples with per-split feature
-subsampling; every tree draws its own generator from the forest seed, so
-results do not depend on thread scheduling.
+Every feature is sorted once per tree (Breiman et al. 1984; Louppe 2014,
+section 5). A node's row list is always ascending, so the root's stable sort
+orders each feature by (value, row), and filtering it down to a node's rows
+keeps exactly the order a stable sort of that node would give.
+
+Forests fit trees serially on bootstrap resamples with per-split feature
+subsampling; every tree draws its own generator from the forest seed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -70,16 +73,6 @@ class _Tree:
         h.update(np.ascontiguousarray(self.payload, dtype=np.float64).tobytes())
 
 
-def _valid_split_mask(sorted_x: np.ndarray, min_leaf: int) -> np.ndarray:
-    """Boolean mask over split positions 1..n-1 (number of left rows)."""
-    n = sorted_x.shape[0]
-    mask = sorted_x[1:] > sorted_x[:-1]
-    if min_leaf > 1:
-        positions = np.arange(1, n)
-        mask = mask & (positions >= min_leaf) & (n - positions >= min_leaf)
-    return mask
-
-
 class _TreeBuilder:
     """Grows one tree; subclasses supply impurity math and leaf payloads."""
 
@@ -92,51 +85,79 @@ class _TreeBuilder:
     def build(self, features: np.ndarray, targets: np.ndarray) -> _Tree:
         tree = _Tree()
         n, d = features.shape
+        columns = np.ascontiguousarray(features.T)
+        goes_left = np.zeros(n, dtype=bool)
         root = tree.add_node(self.leaf_payload(targets))
-        # Explicit preorder stack: recursion depth is data-dependent and the
-        # per-node feature draws must follow a fixed traversal order.
-        stack = [(root, np.arange(n), 0)]
+        # Explicit preorder stack of the nodes that may split: recursion depth
+        # is data-dependent and the per-node feature draws must follow a
+        # fixed traversal order. `rows` stays ascending, so leaf payloads keep
+        # their summation order; orders[f] lists the same rows by (value of
+        # feature f, row).
+        stack = []
+        if self.can_split(targets, 0):
+            orders = np.argsort(columns, axis=1, kind="stable")
+            stack.append((root, np.arange(n), orders, 0))
         while stack:
-            node_id, rows, depth = stack.pop()
-            if self.max_depth is not None and depth >= self.max_depth:
-                continue
-            if rows.size < 2 * self.min_leaf or self.is_pure(targets[rows]):
-                continue
+            node_id, rows, orders, depth = stack.pop()
             if self.max_features is None or self.max_features >= d:
                 feature_order = range(d)
             else:
                 feature_order = self.rng.choice(d, self.max_features, replace=False)
-            split = self.best_split(features, targets, rows, feature_order)
+            split = self.best_split(columns, targets, orders, feature_order)
             if split is None:
                 continue
             feat, threshold = split
-            go_left = features[rows, feat] <= threshold
+            # Not a prefix of orders[feat]: a midpoint can round up onto the
+            # next distinct value, which then goes left too.
+            go_left = columns[feat][rows] <= threshold
             left_rows, right_rows = rows[go_left], rows[~go_left]
             if left_rows.size == 0 or right_rows.size == 0:
                 continue
-            left_id = tree.add_node(self.leaf_payload(targets[left_rows]))
-            right_id = tree.add_node(self.leaf_payload(targets[right_rows]))
+            left_targets, right_targets = targets[left_rows], targets[right_rows]
+            left_id = tree.add_node(self.leaf_payload(left_targets))
+            right_id = tree.add_node(self.leaf_payload(right_targets))
             tree.feature[node_id] = int(feat)
             tree.threshold[node_id] = float(threshold)
             tree.left[node_id] = left_id
             tree.right[node_id] = right_id
-            stack.append((right_id, right_rows, depth + 1))
-            stack.append((left_id, left_rows, depth + 1))
+            grow_left = self.can_split(left_targets, depth + 1)
+            grow_right = self.can_split(right_targets, depth + 1)
+            if grow_left or grow_right:
+                goes_left[left_rows] = True
+                in_left = goes_left[orders]
+                goes_left[left_rows] = False
+            if grow_right:
+                right_orders = orders[~in_left].reshape(d, right_rows.size)
+                stack.append((right_id, right_rows, right_orders, depth + 1))
+            if grow_left:
+                left_orders = orders[in_left].reshape(d, left_rows.size)
+                stack.append((left_id, left_rows, left_orders, depth + 1))
         tree.finalize()
         return tree
 
-    def best_split(self, features, targets, rows, feature_order):
+    def can_split(self, targets: np.ndarray, depth: int) -> bool:
+        if self.max_depth is not None and depth >= self.max_depth:
+            return False
+        if targets.shape[0] < 2 * self.min_leaf:
+            return False
+        return not bool((targets == targets[0]).all())
+
+    def best_split(self, columns, targets, orders, feature_order):
         best_cost = np.inf
         best = None
         for feat in feature_order:
-            order = np.argsort(features[rows, feat], kind="stable")
-            xs = features[rows[order], feat]
-            mask = _valid_split_mask(xs, self.min_leaf)
+            order = orders[feat]
+            xs = columns[feat][order]
+            # mask[i]: i + 1 rows go left, between two distinct values, and
+            # both sides keep min_leaf rows
+            mask = xs[1:] > xs[:-1]
+            mask[: self.min_leaf - 1] = False
+            mask[mask.size - self.min_leaf + 1 :] = False
             if not mask.any():
                 continue
-            costs = self.split_costs(targets[rows[order]])
-            costs = np.where(mask, costs, np.inf)
-            pos = int(np.argmin(costs))
+            costs = self.split_costs(targets[order])
+            costs[~mask] = np.inf
+            pos = int(costs.argmin())
             if costs[pos] < best_cost:
                 best_cost = costs[pos]
                 threshold = (xs[pos] + xs[pos + 1]) / 2.0
@@ -145,9 +166,6 @@ class _TreeBuilder:
 
     # subclass hooks -----------------------------------------------------
     def leaf_payload(self, targets: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def is_pure(self, targets: np.ndarray) -> bool:
         raise NotImplementedError
 
     def split_costs(self, sorted_targets: np.ndarray) -> np.ndarray:
@@ -163,35 +181,37 @@ class _GiniBuilder(_TreeBuilder):
     def leaf_payload(self, targets):
         return np.bincount(targets, minlength=self.n_classes).astype(np.float64)
 
-    def is_pure(self, targets):
-        return targets.size == 0 or bool((targets == targets[0]).all())
-
     def split_costs(self, sorted_targets):
+        # Sums of squared class counts are integers, so they are exact in
+        # int64 and in float64. Moving a row left raises sum_l^2 by 2r + 1,
+        # where r counts the earlier rows of its class; sum_r^2 follows from
+        # sum_c (T_c - L_c)^2 = sum T^2 - 2 sum_c T_c L_c + sum_l^2.
         n = sorted_targets.shape[0]
-        onehot = np.zeros((n, self.n_classes))
-        onehot[np.arange(n), sorted_targets] = 1.0
-        left = np.cumsum(onehot, axis=0)[:-1]  # counts with i+1 rows on the left
-        total = np.bincount(sorted_targets, minlength=self.n_classes).astype(float)
-        right = total - left
+        total = np.bincount(sorted_targets, minlength=self.n_classes)
+        keys = sorted_targets
+        if total.size <= 256:
+            keys = keys.astype(np.uint8)  # the stable sort becomes a radix sort
+        by_class = np.argsort(keys, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_class] = np.arange(n) - np.repeat(np.cumsum(total) - total, total)
+        left_sq = (2 * rank + 1).cumsum()[:-1]
+        right_sq = total @ total - 2 * total[sorted_targets].cumsum()[:-1] + left_sq
         n_left = np.arange(1, n, dtype=np.float64)
         n_right = n - n_left
         # Weighted Gini = n - (sum_l^2/n_l + sum_r^2/n_r); constant n dropped.
-        return -(
-            (left**2).sum(axis=1) / n_left + (right**2).sum(axis=1) / n_right
-        )
+        return -(left_sq / n_left + right_sq / n_right)
 
 
 class _VarianceBuilder(_TreeBuilder):
     def leaf_payload(self, targets):
-        return targets.mean(axis=0)
-
-    def is_pure(self, targets):
-        return targets.size == 0 or bool((targets == targets[0]).all())
+        # The same sum and division as targets.mean(axis=0), minus its
+        # wrapper overhead, which shows at one call per node.
+        return np.add.reduce(targets, axis=0) / targets.shape[0]
 
     def split_costs(self, sorted_targets):
         n = sorted_targets.shape[0]
-        s1 = np.cumsum(sorted_targets, axis=0)
-        s2 = np.cumsum(sorted_targets**2, axis=0)
+        s1 = sorted_targets.cumsum(axis=0)
+        s2 = (sorted_targets**2).cumsum(axis=0)
         n_left = np.arange(1, n, dtype=np.float64)[:, np.newaxis]
         n_right = n - n_left
         sse_left = s2[:-1] - s1[:-1] ** 2 / n_left
@@ -199,95 +219,81 @@ class _VarianceBuilder(_TreeBuilder):
         return (sse_left + sse_right).sum(axis=1)
 
 
-def _prepare_targets_regression(targets: np.ndarray) -> tuple[np.ndarray, bool]:
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        return targets[:, np.newaxis], True
-    return targets, False
-
-
-def _fitted(tree: _Tree | None) -> _Tree:
-    if tree is None:
-        raise NotFitted("decision tree used before fit")
-    return tree
-
-
-class DecisionTreeClassifier:
-    """Greedy Gini CART classifier over integer class labels."""
-
-    def __init__(self, max_depth: int | None = None, min_leaf: int = 1,
-                 n_classes: int | None = None):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.n_classes = n_classes
-        self._tree: _Tree | None = None
-
-    def fit(self, features, labels, rng=None, max_features=None):
-        features = np.ascontiguousarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        if features.shape[0] == 0:
-            raise EmptyTrainingSet("tree fitted with no training rows")
-        n_classes = self.n_classes or int(labels.max()) + 1
-        builder = _GiniBuilder(
-            n_classes=n_classes,
-            max_depth=self.max_depth,
-            min_leaf=self.min_leaf,
-            max_features=max_features,
-            rng=rng,
-        )
-        self._tree = builder.build(features, labels)
-        self._n_classes = n_classes
-        return self
-
-    def predict_counts(self, features) -> np.ndarray:
-        return _fitted(self._tree).apply(np.asarray(features, dtype=np.float64))
-
-    def predict(self, features) -> np.ndarray:
-        return self.predict_counts(features).argmax(axis=1)
-
-    def params_digest(self) -> str:
-        h = hashlib.sha256()
-        _fitted(self._tree).digest_into(h)
-        return h.hexdigest()
-
-
-class DecisionTreeRegressor:
-    """Greedy variance-reduction CART regressor; leaf predicts the mean."""
+class _DecisionTree:
+    """Fit guard, fitted check and digest shared by the two CART learners."""
 
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self._tree: _Tree | None = None
 
-    def fit(self, features, targets, rng=None, max_features=None):
+    def _grow(self, builder_type, features, targets, rng, max_features, **kwargs):
         features = np.ascontiguousarray(features, dtype=np.float64)
-        targets, self._squeeze = _prepare_targets_regression(targets)
         if features.shape[0] == 0:
             raise EmptyTrainingSet("tree fitted with no training rows")
-        builder = _VarianceBuilder(
+        builder = builder_type(
             max_depth=self.max_depth,
             min_leaf=self.min_leaf,
             max_features=max_features,
             rng=rng,
+            **kwargs,
         )
         self._tree = builder.build(features, targets)
         return self
 
-    def predict(self, features) -> np.ndarray:
-        out = _fitted(self._tree).apply(np.asarray(features, dtype=np.float64))
-        return out[:, 0] if self._squeeze else out
+    def _fitted(self) -> _Tree:
+        if self._tree is None:
+            raise NotFitted("decision tree used before fit")
+        return self._tree
 
     def params_digest(self) -> str:
         h = hashlib.sha256()
-        _fitted(self._tree).digest_into(h)
+        self._fitted().digest_into(h)
         return h.hexdigest()
+
+
+class DecisionTreeClassifier(_DecisionTree):
+    """Greedy Gini CART classifier over integer class labels."""
+
+    def __init__(self, max_depth: int | None = None, min_leaf: int = 1,
+                 n_classes: int | None = None):
+        super().__init__(max_depth, min_leaf)
+        self.n_classes = n_classes
+
+    def fit(self, features, labels, rng=None, max_features=None):
+        labels = np.asarray(labels, dtype=np.int64)
+        n_classes = self.n_classes or int(labels.max(initial=-1)) + 1
+        return self._grow(
+            _GiniBuilder, features, labels, rng, max_features, n_classes=n_classes
+        )
+
+    def predict_counts(self, features) -> np.ndarray:
+        return self._fitted().apply(np.asarray(features, dtype=np.float64))
+
+    def predict(self, features) -> np.ndarray:
+        return self.predict_counts(features).argmax(axis=1)
+
+
+class DecisionTreeRegressor(_DecisionTree):
+    """Greedy variance-reduction CART regressor; leaf predicts the mean."""
+
+    def fit(self, features, targets, rng=None, max_features=None):
+        targets = np.asarray(targets, dtype=np.float64)
+        self._squeeze = targets.ndim == 1
+        if self._squeeze:
+            targets = targets[:, np.newaxis]
+        return self._grow(_VarianceBuilder, features, targets, rng, max_features)
+
+    def predict(self, features) -> np.ndarray:
+        out = self._fitted().apply(np.asarray(features, dtype=np.float64))
+        return out[:, 0] if self._squeeze else out
 
 
 class _ForestBase:
     """Bootstrap ensemble scaffolding; subclasses define the base tree."""
 
     def __init__(self, n_trees=20, max_depth=None, min_leaf=1, bootstrap=True,
-                 seed=0, n_jobs=1):
+                 seed=0):
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = n_trees
@@ -295,10 +301,9 @@ class _ForestBase:
         self.min_leaf = min_leaf
         self.bootstrap = bootstrap
         self.seed = seed
-        self.n_jobs = max(1, n_jobs)
         self.trees: list = []
 
-    def _feature_count(self, n_features: int) -> int | None:
+    def _feature_count(self, n_features: int) -> int:
         raise NotImplementedError
 
     def _new_tree(self):
@@ -321,25 +326,23 @@ class _ForestBase:
         if features.shape[0] == 0:
             raise EmptyTrainingSet("forest fitted with no training rows")
         max_features = self._feature_count(features.shape[1])
-        indices = range(self.n_trees)
-        if self.n_jobs == 1:
-            self.trees = [
-                self._fit_one(i, features, targets, max_features) for i in indices
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
-                self.trees = list(
-                    pool.map(
-                        lambda i: self._fit_one(i, features, targets, max_features),
-                        indices,
-                    )
-                )
+        if not self.bootstrap and self.n_trees == 1:
+            max_features = None  # a single tree on all rows is a plain tree fit
+        self.trees = [
+            self._fit_one(i, features, targets, max_features)
+            for i in range(self.n_trees)
+        ]
         return self
+
+    def _fitted_trees(self) -> list:
+        if not self.trees:
+            raise NotFitted("random forest used before fit")
+        return self.trees
 
     def params_digest(self) -> str:
         h = hashlib.sha256()
         h.update(str(self.seed).encode())
-        for tree in self.trees:
+        for tree in self._fitted_trees():
             tree._tree.digest_into(h)
         return h.hexdigest()
 
@@ -348,13 +351,11 @@ class RandomForestClassifier(_ForestBase):
     """Majority vote over Gini trees; ceil(sqrt(d)) features per split."""
 
     def __init__(self, n_trees=20, max_depth=None, min_leaf=1, bootstrap=True,
-                 seed=0, n_jobs=1, n_classes=None):
-        super().__init__(n_trees, max_depth, min_leaf, bootstrap, seed, n_jobs)
+                 seed=0, n_classes=None):
+        super().__init__(n_trees, max_depth, min_leaf, bootstrap, seed)
         self.n_classes = n_classes
 
     def _feature_count(self, n_features):
-        if not self.bootstrap and self.n_trees == 1:
-            return None  # degenerate single-tree mode matches a plain tree fit
         return int(np.ceil(np.sqrt(n_features)))
 
     def _new_tree(self):
@@ -364,13 +365,14 @@ class RandomForestClassifier(_ForestBase):
 
     def fit(self, features, labels):
         labels = np.asarray(labels, dtype=np.int64)
-        self._classes = self.n_classes or int(labels.max()) + 1
+        self._classes = self.n_classes or int(labels.max(initial=-1)) + 1
         return super().fit(features, labels)
 
     def predict(self, features) -> np.ndarray:
+        trees = self._fitted_trees()
         features = np.asarray(features, dtype=np.float64)
         votes = np.zeros((features.shape[0], self._classes), dtype=np.int64)
-        for tree in self.trees:
+        for tree in trees:
             predictions = tree.predict(features)
             votes[np.arange(features.shape[0]), predictions] += 1
         return votes.argmax(axis=1)
@@ -380,14 +382,13 @@ class RandomForestRegressor(_ForestBase):
     """Mean over variance trees; ceil(d/3) features per split."""
 
     def _feature_count(self, n_features):
-        if not self.bootstrap and self.n_trees == 1:
-            return None
         return int(np.ceil(n_features / 3.0))
 
     def _new_tree(self):
         return DecisionTreeRegressor(max_depth=self.max_depth, min_leaf=self.min_leaf)
 
     def predict(self, features) -> np.ndarray:
+        trees = self._fitted_trees()
         features = np.asarray(features, dtype=np.float64)
-        stacked = np.stack([tree.predict(features) for tree in self.trees])
+        stacked = np.stack([tree.predict(features) for tree in trees])
         return stacked.mean(axis=0)

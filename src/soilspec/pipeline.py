@@ -138,7 +138,7 @@ class ModelSpec:
     n_trees: int = 20
     max_depth: int | None = None
     min_leaf: int = 1
-    n_jobs: int = 1
+    n_jobs: int = 1  # KNN query workers; trees always fit serially
 
     def __post_init__(self) -> None:
         if self.name not in MODEL_NAMES:
@@ -154,7 +154,6 @@ def _make_classifier(spec: ModelSpec, seed: int):
             max_depth=spec.max_depth,
             min_leaf=spec.min_leaf,
             seed=seed,
-            n_jobs=spec.n_jobs,
             n_classes=N_CLASSES,
         )
     return DecisionTreeClassifier(
@@ -198,7 +197,6 @@ def _make_regressor(spec: ModelSpec, seed: int):
                     max_depth=spec.max_depth,
                     min_leaf=spec.min_leaf,
                     seed=derive_seed(seed, i),
-                    n_jobs=spec.n_jobs,
                 )
                 for i in range(3)
             ]

@@ -286,3 +286,36 @@ class TestEndToEnd:
             assert code == 0
             outputs.append((out / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_header_only_train_csv_names_the_file(self, tiny_run, tmp_path, capsys):
+        base, data, features = tiny_run
+        header = (features / "train.csv").read_text().splitlines()[0]
+        (tmp_path / "train.csv").write_text(header + "\n")
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out",
+             str(tmp_path / "results"), "--models", "knn", "--strategies", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert "train.csv: no observation rows" in err
+
+    def test_thread_count_leaves_tree_outputs_unchanged(self, tiny_run, capsys):
+        # forests fit serially and --threads sets only the KNN query
+        # workers, so the tree models write the same bytes at any count
+        base, data, features = tiny_run
+        outputs = []
+        for threads in ("1", "2"):
+            out = base / f"trees-threads-{threads}"
+            code, _, _ = run(
+                ["evaluate", "--features", str(features), "--out", str(out),
+                 "--models", "rf,dt", "--strategies", "1,2,3", "--rf-trees", "3",
+                 "--seed", "5", "--threads", threads],
+                capsys,
+            )
+            assert code == 0
+            outputs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert set(outputs[0]) == {
+            "results.csv", "aggregate.csv", "confusion_s1_rf.csv",
+            "confusion_s1_dt.csv", "confusion_s3_rf.csv", "confusion_s3_dt.csv",
+        }
+        assert outputs[0] == outputs[1]

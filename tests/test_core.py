@@ -235,6 +235,10 @@ class TestObservationCsv:
             ("sand", "inf", NumericalFailure),
             ("block_row", "0", MalformedHeader),
             ("block_col", "11", MalformedHeader),
+            ("clay", "150", NegativeComponent),
+            ("silt", "-0.5", NegativeComponent),
+            ("clay", "31", SumViolation),
+            ("sand", "40.00001", SumViolation),
         ],
     )
     def test_bad_cell_names_file_and_line(self, tmp_path, column, cell, error):
@@ -246,4 +250,31 @@ class TestObservationCsv:
         lines[4] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(error, match=r"obs\.csv: line 5\b"):
+            read_observation_csv(path)
+
+    def test_sum_within_tolerance_accepted(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        write_observation_csv(make_table(), path)
+        lines = path.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[OBSERVATION_HEADER.index("sand")] = "40.0000001"
+        lines[4] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert read_observation_csv(path).compositions[3, 2] == 40.0000001
+
+    def test_repeated_block_names_file_and_line(self, tmp_path):
+        # the same block position in another specimen is fine; a second
+        # row for one (specimen, block) is not, and the repeat is reported
+        path = tmp_path / "obs.csv"
+        write_observation_csv(make_table(), path)
+        lines = path.read_text().splitlines()
+        lines[4] = lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedHeader, match=r"obs\.csv: line 5: repeats"):
+            read_observation_csv(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text(",".join(OBSERVATION_HEADER) + "\n")
+        with pytest.raises(MalformedHeader, match=r"obs\.csv: no observation rows"):
             read_observation_csv(path)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from soilspec.ml import (
     smote,
 )
 from soilspec.ml.neighbors import build_tree, k_nearest
+from soilspec.seeding import derive_seed
 
 
 def brute_force_neighbors(train_x, q, k, exclude=None):
@@ -43,6 +46,142 @@ def brute_force_knn(train_x, train_y, queries, k, vote):
         else:
             out.append(targets.mean(axis=0))
     return np.array(out)
+
+
+def reference_tree(features, targets, n_classes=None, max_depth=None, min_leaf=1,
+                   max_features=None, rng=None):
+    """Per-node CART reference: a stable argsort of every candidate feature at
+    every node and Gini costs from cumulative one-hot class counts. Returns
+    the (feature, threshold, left, right, payload) arrays a fitted tree keeps.
+    """
+    classify = n_classes is not None
+    if not classify and targets.ndim == 1:
+        targets = targets[:, np.newaxis]
+    n, d = features.shape
+
+    def payload(t):
+        if classify:
+            return np.bincount(t, minlength=n_classes).astype(np.float64)
+        return t.mean(axis=0)
+
+    def costs(t):
+        m = t.shape[0]
+        n_left = np.arange(1, m, dtype=np.float64)
+        if classify:
+            onehot = np.zeros((m, n_classes))
+            onehot[np.arange(m), t] = 1.0
+            left = np.cumsum(onehot, axis=0)[:-1]
+            right = onehot.sum(axis=0) - left
+            return -(
+                (left**2).sum(axis=1) / n_left + (right**2).sum(axis=1) / (m - n_left)
+            )
+        n_left = n_left[:, np.newaxis]
+        s1 = np.cumsum(t, axis=0)
+        s2 = np.cumsum(t**2, axis=0)
+        sse_left = s2[:-1] - s1[:-1] ** 2 / n_left
+        sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (m - n_left)
+        return (sse_left + sse_right).sum(axis=1)
+
+    feature, threshold, left, right = [-1], [np.nan], [-1], [-1]
+    payloads = [payload(targets)]
+    stack = [(0, np.arange(n), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        t = targets[rows]
+        if (max_depth is not None and depth >= max_depth) or rows.size < 2 * min_leaf:
+            continue
+        if (t == t[0]).all():
+            continue
+        if max_features is None or max_features >= d:
+            candidates = range(d)
+        else:
+            candidates = rng.choice(d, max_features, replace=False)
+        best_cost, best = np.inf, None
+        positions = np.arange(1, rows.size)
+        for f in candidates:
+            order = rows[np.argsort(features[rows, f], kind="stable")]
+            xs = features[order, f]
+            valid = (
+                (xs[1:] > xs[:-1])
+                & (positions >= min_leaf)
+                & (rows.size - positions >= min_leaf)
+            )
+            if not valid.any():
+                continue
+            c = np.where(valid, costs(targets[order]), np.inf)
+            pos = int(np.argmin(c))
+            if c[pos] < best_cost:
+                best_cost, best = c[pos], (int(f), float((xs[pos] + xs[pos + 1]) / 2))
+        if best is None:
+            continue
+        f, thr = best
+        go_left = features[rows, f] <= thr
+        if go_left.all() or not go_left.any():
+            continue
+        feature[node], threshold[node] = f, thr
+        left[node], right[node] = len(feature), len(feature) + 1
+        for child in (rows[go_left], rows[~go_left]):
+            feature.append(-1)
+            threshold.append(np.nan)
+            left.append(-1)
+            right.append(-1)
+            payloads.append(payload(targets[child]))
+        stack.append((right[node], rows[~go_left], depth + 1))
+        stack.append((left[node], rows[go_left], depth + 1))
+    return (
+        np.array(feature, dtype=np.int64),
+        np.array(threshold),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.stack(payloads),
+    )
+
+
+def reference_forest(features, targets, n_trees, seed, max_features, **tree_args):
+    """Bootstrap trees as the forest draws them, each from the reference."""
+    n = features.shape[0]
+    trees = []
+    for i in range(n_trees):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, i)))
+        rows = np.sort(rng.integers(0, n, size=n))
+        trees.append(
+            reference_tree(features[rows], targets[rows], rng=rng,
+                           max_features=max_features, **tree_args)
+        )
+    return trees
+
+
+def reference_digest(trees, seed=None):
+    h = hashlib.sha256()
+    if seed is not None:
+        h.update(str(seed).encode())
+    for arrays in trees:
+        for array in arrays:
+            h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+def assert_tree_matches(model, expected):
+    got = model._tree
+    for name, want in zip(("feature", "threshold", "left", "right", "payload"), expected):
+        assert np.array_equal(getattr(got, name), want, equal_nan=True), name
+    assert model.params_digest() == reference_digest([expected])
+
+
+def oracle_features(rng, case, n, d):
+    """Continuous, grid (many ties), duplicated rows, or adjacent floats whose
+    midpoint rounds up onto the larger value."""
+    kind = case % 4
+    if kind == 0:
+        return rng.normal(0, 1, (n, d))
+    if kind == 1:
+        return rng.integers(0, 4, (n, d)) * 0.5
+    if kind == 2:
+        base = rng.normal(0, 1, (n // 3 + 1, d))
+        return base[rng.integers(0, len(base), n)]
+    X = rng.integers(0, 3, (n, d)) * 0.5
+    X[:, 0] = np.array([1.0, np.nextafter(1.0, 2.0), 3.0])[rng.integers(0, 3, n)]
+    return X
 
 
 class TestKnn:
@@ -248,6 +387,67 @@ class TestDecisionTree:
         assert np.allclose(model.predict(X), y, atol=1e-9)
 
 
+class TestPresortedOracle:
+    """The presorted builder against the per-node reference, bit for bit."""
+
+    @pytest.mark.parametrize("case", range(48))
+    def test_trees_match_reference(self, case):
+        rng = np.random.default_rng(2000 + case)
+        d = case % 13 + 1
+        n = int(rng.integers(2, 260))
+        X = oracle_features(rng, case, n, d)
+        n_classes = int(rng.integers(2, 41))
+        y = rng.integers(0, n_classes, n)
+        # targets on a 0.1 grid tie in value, and 1 or 3 columns
+        Y = np.round(rng.normal(0, 1, (n, 1 if case % 2 else 3)), 1)
+        args = {
+            "max_depth": None if case % 3 else int(rng.integers(1, 8)),
+            "min_leaf": int(rng.integers(1, 5)),
+        }
+        model = DecisionTreeClassifier(n_classes=n_classes, **args).fit(X, y)
+        assert_tree_matches(model, reference_tree(X, y, n_classes, **args))
+        targets = Y[:, 0] if Y.shape[1] == 1 else Y
+        model = DecisionTreeRegressor(**args).fit(X, targets)
+        assert_tree_matches(model, reference_tree(X, targets, **args))
+
+    @pytest.mark.parametrize("case", range(16))
+    def test_forests_match_reference(self, case):
+        rng = np.random.default_rng(3000 + case)
+        d = case % 13 + 1
+        n = int(rng.integers(2, 200))
+        X = oracle_features(rng, case, n, d)
+        n_classes = int(rng.integers(2, 41))
+        y = rng.integers(0, n_classes, n)
+        t = np.round(rng.normal(0, 1, n), 1)
+        args = {
+            "max_depth": None if case % 3 else int(rng.integers(1, 8)),
+            "min_leaf": int(rng.integers(1, 5)),
+        }
+        forest = RandomForestClassifier(
+            n_trees=3, seed=case, n_classes=n_classes, **args
+        ).fit(X, y)
+        expected = reference_forest(
+            X, y, 3, case, int(np.ceil(np.sqrt(d))), n_classes=n_classes, **args
+        )
+        for tree, arrays in zip(forest.trees, expected, strict=True):
+            assert_tree_matches(tree, arrays)
+        assert forest.params_digest() == reference_digest(expected, seed=case)
+        forest = RandomForestRegressor(n_trees=3, seed=case, **args).fit(X, t)
+        expected = reference_forest(X, t, 3, case, int(np.ceil(d / 3)), **args)
+        for tree, arrays in zip(forest.trees, expected, strict=True):
+            assert_tree_matches(tree, arrays)
+        assert forest.params_digest() == reference_digest(expected, seed=case)
+
+    @pytest.mark.parametrize("n, n_classes", [(3000, 12), (900, 300)])
+    def test_large_nodes_and_many_classes(self, n, n_classes):
+        # a benchmark-sized 2-D node set, and more classes than a uint8 holds
+        rng = np.random.default_rng(n_classes)
+        X = np.round(rng.normal(0, 1, (n, 2)), 2)
+        y = (rng.integers(0, n_classes, n) + (X[:, 0] > 0) * 7) % n_classes
+        model = DecisionTreeClassifier(n_classes=n_classes).fit(X, y)
+        assert_tree_matches(model, reference_tree(X, y, n_classes))
+
+
 class TestRandomForest:
     def test_single_tree_no_bootstrap_matches_tree(self):
         rng = np.random.default_rng(58)
@@ -268,15 +468,18 @@ class TestRandomForest:
         b = RandomForestClassifier(n_trees=7, seed=3).fit(X, y).predict(probe)
         assert np.array_equal(a, b)
 
-    def test_thread_count_invariance(self):
-        rng = np.random.default_rng(60)
-        X = rng.uniform(0, 1, (150, 5))
-        y = rng.normal(0, 1, 150)
-        probe = rng.uniform(0, 1, (40, 5))
-        serial = RandomForestRegressor(n_trees=6, seed=4, n_jobs=1).fit(X, y)
-        threaded = RandomForestRegressor(n_trees=6, seed=4, n_jobs=3).fit(X, y)
-        assert np.array_equal(serial.predict(probe), threaded.predict(probe))
-        assert serial.params_digest() == threaded.params_digest()
+    @pytest.mark.parametrize("forest", [RandomForestClassifier, RandomForestRegressor])
+    def test_use_before_fit(self, forest):
+        model = forest(n_trees=2)
+        with pytest.raises(NotFitted):
+            model.predict(np.zeros((2, 2)))
+        with pytest.raises(NotFitted):
+            model.params_digest()
+
+    @pytest.mark.parametrize("forest", [RandomForestClassifier, RandomForestRegressor])
+    def test_empty_training(self, forest):
+        with pytest.raises(EmptyTrainingSet):
+            forest(n_trees=2).fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
     def test_regressor_prediction_is_tree_mean(self):
         rng = np.random.default_rng(61)
