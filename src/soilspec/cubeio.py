@@ -157,6 +157,19 @@ def write_observation_csv(table: ObservationTable, path: str | Path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def read_csv_rows(path: Path, header: list[str], what: str) -> list[list[str]]:
+    """The rows after `header`, which the file must start with; a row's
+    1-based line is its index + 2."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != header:
+                raise MalformedHeader(f"{path}: unexpected {what} header")
+            return list(reader)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
 def _reject_first(path: Path, bad: np.ndarray, error: type, what: str) -> None:
     if bad.any():  # the header is line 1
         raise error(f"{path}: line {np.flatnonzero(bad)[0] + 2}: {what}")
@@ -168,15 +181,7 @@ def read_observation_csv(path: str | Path) -> ObservationTable:
     100% simplex and repeated (specimen, block) pairs, each with the file
     and 1-based line. A table with no rows is rejected too."""
     path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != OBSERVATION_HEADER:
-                raise MalformedHeader(f"{path}: unexpected observation header")
-            rows = list(reader)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    rows = read_csv_rows(path, OBSERVATION_HEADER, "observation")
     if not rows:
         raise MalformedHeader(f"{path}: no observation rows after the header")
     n = len(rows)

@@ -97,6 +97,10 @@ class EmptyTrainingSet(SoilspecError):
     """Learner fitted with zero samples."""
 
 
+class LabelOutOfRange(SoilspecError):
+    """A class label lies outside [0, n_classes)."""
+
+
 class KTooLarge(SoilspecError):
     """Neighbor count exceeds the training-set size."""
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .cubeio import fmt_float
 from .errors import (
@@ -127,6 +126,9 @@ def fit_lda(
     diagonal before the Cholesky reduction; singular within-scatter from
     replicate-identical rows would otherwise break the factorization.
     """
+    # scipy.linalg adds about 0.3 s to every start-up; only fitting needs it
+    from scipy.linalg import solve_triangular
+
     within = np.asarray(pair.within, dtype=np.float64)
     between = np.asarray(pair.between, dtype=np.float64)
     d = within.shape[0]

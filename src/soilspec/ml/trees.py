@@ -6,13 +6,22 @@ minimizes Gini impurity (classification) or summed squared error
 distinct sorted values. Ties prefer the first feature in evaluation order
 and the smallest threshold, so training is fully deterministic.
 
-Every feature is sorted once per tree (Breiman et al. 1984; Louppe 2014,
-section 5). A node's row list is always ascending, so the root's stable sort
-orders each feature by (value, row), and filtering it down to a node's rows
-keeps exactly the order a stable sort of that node would give.
+One kernel, :func:`build`, grows every tree depth first. Every feature is
+sorted once per tree (Breiman et al. 1984; Louppe 2014, section 5). A node's
+row list is always ascending, so the root's stable sort orders each feature
+by (value, row), and filtering it down to a node's rows keeps exactly the
+order a stable sort of that node would give. Gini costs come from exact
+int64 sums of squared class counts; squared-error costs from two cumulative
+sums per target column.
 
 Forests fit trees serially on bootstrap resamples with per-split feature
-subsampling; every tree draws its own generator from the forest seed.
+subsampling; every tree draws its own generator from the forest seed. When
+a split draws one feature of d, ``rng.choice(d, 1, replace=False)`` makes a
+single bounded draw on [0, d), the same draw as ``rng.integers(0, d)``, so
+each tree takes those draws 256 at a time (`tests/test_ml.py` checks the
+equivalence against ``choice``). A generator handed to ``fit`` is then left
+further on than ``choice`` would leave it; a forest drops each tree's
+generator after the fit. Other feature counts still call ``choice``.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import hashlib
 
 import numpy as np
 
-from ..errors import EmptyTrainingSet, NotFitted
+from ..errors import EmptyTrainingSet, LabelOutOfRange, NotFitted
 from ..seeding import derive_seed
 
 
@@ -30,27 +39,12 @@ class _Tree:
 
     __slots__ = ("feature", "threshold", "left", "right", "payload")
 
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.payload: list[np.ndarray] = []
-
-    def add_node(self, payload: np.ndarray) -> int:
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.payload.append(payload)
-        return len(self.feature) - 1
-
-    def finalize(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.payload = np.stack(self.payload)
+    def __init__(self, feature, threshold, left, right, payload) -> None:
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.payload = payload
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         """Leaf payload row for every query."""
@@ -73,150 +67,176 @@ class _Tree:
         h.update(np.ascontiguousarray(self.payload, dtype=np.float64).tobytes())
 
 
-class _TreeBuilder:
-    """Grows one tree; subclasses supply impurity math and leaf payloads."""
+def _single_draws(rng, d: int):
+    """The values of successive ``rng.choice(d, 1, replace=False)`` calls.
 
-    def __init__(self, max_depth, min_leaf, max_features, rng):
-        self.max_depth = max_depth
-        self.min_leaf = max(1, int(min_leaf))
-        self.max_features = max_features
-        self.rng = rng
+    For one of d features, ``choice`` makes one bounded draw on [0, d), as
+    ``rng.integers(0, d)`` does, so 256 values are drawn per call.
+    """
+    while True:
+        yield from rng.integers(0, d, size=256).tolist()
 
-    def build(self, features: np.ndarray, targets: np.ndarray) -> _Tree:
-        tree = _Tree()
-        n, d = features.shape
-        columns = np.ascontiguousarray(features.T)
-        goes_left = np.zeros(n, dtype=bool)
-        root = tree.add_node(self.leaf_payload(targets))
-        # Explicit preorder stack of the nodes that may split: recursion depth
-        # is data-dependent and the per-node feature draws must follow a
-        # fixed traversal order. `rows` stays ascending, so leaf payloads keep
-        # their summation order; orders[f] lists the same rows by (value of
-        # feature f, row).
-        stack = []
-        if self.can_split(targets, 0):
-            orders = np.argsort(columns, axis=1, kind="stable")
-            stack.append((root, np.arange(n), orders, 0))
-        while stack:
-            node_id, rows, orders, depth = stack.pop()
-            if self.max_features is None or self.max_features >= d:
-                feature_order = range(d)
-            else:
-                feature_order = self.rng.choice(d, self.max_features, replace=False)
-            split = self.best_split(columns, targets, orders, feature_order)
-            if split is None:
-                continue
-            feat, threshold = split
-            # Not a prefix of orders[feat]: a midpoint can round up onto the
-            # next distinct value, which then goes left too.
-            go_left = columns[feat][rows] <= threshold
-            left_rows, right_rows = rows[go_left], rows[~go_left]
-            if left_rows.size == 0 or right_rows.size == 0:
-                continue
-            left_targets, right_targets = targets[left_rows], targets[right_rows]
-            left_id = tree.add_node(self.leaf_payload(left_targets))
-            right_id = tree.add_node(self.leaf_payload(right_targets))
-            tree.feature[node_id] = int(feat)
-            tree.threshold[node_id] = float(threshold)
-            tree.left[node_id] = left_id
-            tree.right[node_id] = right_id
-            grow_left = self.can_split(left_targets, depth + 1)
-            grow_right = self.can_split(right_targets, depth + 1)
-            if grow_left or grow_right:
-                goes_left[left_rows] = True
-                in_left = goes_left[orders]
-                goes_left[left_rows] = False
-            if grow_right:
-                right_orders = orders[~in_left].reshape(d, right_rows.size)
-                stack.append((right_id, right_rows, right_orders, depth + 1))
-            if grow_left:
-                left_orders = orders[in_left].reshape(d, left_rows.size)
-                stack.append((left_id, left_rows, left_orders, depth + 1))
-        tree.finalize()
-        return tree
 
-    def can_split(self, targets: np.ndarray, depth: int) -> bool:
-        if self.max_depth is not None and depth >= self.max_depth:
-            return False
-        if targets.shape[0] < 2 * self.min_leaf:
-            return False
-        return not bool((targets == targets[0]).all())
+def build(features, targets, n_classes, max_depth, min_leaf, max_features, rng):
+    """Grow one CART tree depth first.
 
-    def best_split(self, columns, targets, orders, feature_order):
-        best_cost = np.inf
-        best = None
-        for feat in feature_order:
-            order = orders[feat]
+    ``targets`` are int64 labels in [0, n_classes) for a Gini tree, or an
+    (n, k) float array for a squared-error tree (``n_classes`` None).
+    """
+    accumulate, count_nonzero = np.add.accumulate, np.count_nonzero
+    n, d = features.shape
+    min_leaf = max(1, int(min_leaf))
+    max_depth = np.inf if max_depth is None else max_depth
+    columns = np.ascontiguousarray(features.T)
+    # Row counts left and right of each split position; a node of m rows
+    # uses the first and the last m - 1 entries.
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = np.arange(n - 1, 0, -1, dtype=np.float64)
+    classify = n_classes is not None
+    if classify:
+        # The root's class counts double as the label range check: bincount
+        # rejects a negative label, and a label >= n_classes lengthens them.
+        try:
+            payload = np.bincount(targets, minlength=n_classes)
+        except ValueError:
+            payload = None
+        if payload is None or payload.size != n_classes:
+            _check_labels(targets, n_classes)
+        # uint8 keys turn the per-feature stable label sort into a radix sort
+        keys = targets.astype(np.uint8) if n_classes <= 256 else targets
+        pure = count_nonzero(payload) == 1
+    else:
+        target_columns = list(np.ascontiguousarray(targets.T))
+        if len(target_columns) == 1:
+            # the (n, 1) and the 1-D sums are the same; 1-D calls cost less
+            targets = target_columns[0]
+        payload = np.add.reduce(targets) / n
+        pure = not count_nonzero(targets != targets[0])
+    if max_features is not None and max_features < d:
+        draws = _single_draws(rng, d) if max_features == 1 else None
+    else:
+        max_features = None
+    # Per node; a leaf keeps feature -1. A split node's children are the
+    # next two ids, so right = left + 1.
+    feature, thresholds, left, payloads = [-1], [np.nan], [-1], [payload]
+    # Explicit preorder stack of the nodes that may split: the per-node
+    # feature draws follow this order. A node's `orders` holds d + 1 runs of
+    # its m rows: run f by (value of feature f, row), run d ascending, so
+    # leaf payloads keep their summation order.
+    stack = []
+    if max_depth > 0 and n >= 2 * min_leaf and not pure:
+        orders = np.empty((d + 1, n), dtype=np.int64)
+        orders[:d] = np.argsort(columns, axis=1, kind="stable")
+        orders[d] = np.arange(n)
+        stack.append((0, orders.ravel(), 0, payload))
+    while stack:
+        node, orders, depth, total = stack.pop()
+        m = orders.size // (d + 1)
+        if max_features is None:
+            candidates = range(d)
+        elif draws is not None:
+            candidates = (next(draws),)
+        else:
+            candidates = rng.choice(d, max_features, replace=False)
+        left_count, right_count = n_left[: m - 1], n_right[n - m :]
+        if classify:
+            # Sums of squared class counts are integers, exact in int64 and
+            # float64. A row of class c moving left, after r rows of its
+            # class, adds 2r + 1 to sum_l^2 and 2r + 1 - 2 T_c to sum_r^2
+            # (T: the node's class counts). The sums are kept negated.
+            total_sq = total @ total
+            rank = np.arange(m) - (total.cumsum() - total).repeat(total)
+            left_steps = -2 * rank - 1
+            right_steps = left_steps + 2 * total.repeat(total)
+            moves = np.empty((2, m), dtype=np.int64)
+            left_moves, right_moves = moves
+        best_cost, best = np.inf, None
+        for feat in candidates:
+            order = orders[feat * m : (feat + 1) * m]
             xs = columns[feat][order]
-            # mask[i]: i + 1 rows go left, between two distinct values, and
-            # both sides keep min_leaf rows
-            mask = xs[1:] > xs[:-1]
-            mask[: self.min_leaf - 1] = False
-            mask[mask.size - self.min_leaf + 1 :] = False
-            if not mask.any():
-                continue
-            costs = self.split_costs(targets[order])
-            costs[~mask] = np.inf
-            pos = int(costs.argmin())
+            if classify:
+                by_class = keys[order].argsort(kind="stable")
+                left_moves[by_class] = left_steps
+                right_moves[by_class] = right_steps
+                sums = accumulate(moves, axis=1)
+                # weighted Gini - m = -(sum_l^2/n_l + sum_r^2/n_r)
+                left_sq, right_sq = sums[0, :-1], sums[1, :-1] - total_sq
+                costs = left_sq / left_count + right_sq / right_count
+            else:
+                # Summed squared error, one target column at a time; the
+                # columns add left to right.
+                costs = None
+                for column in target_columns:
+                    t = column[order]
+                    s1 = accumulate(t)
+                    s2 = accumulate(t * t)
+                    head, head_sq = s1[:-1], s2[:-1]
+                    tail = s1[-1] - head
+                    sse = (head_sq - head * head / left_count) + (
+                        (s2[-1] - head_sq) - tail * tail / right_count
+                    )
+                    costs = sse if costs is None else costs + sse
+            # costs[i]: i + 1 rows go left. Valid only between two distinct
+            # values and with min_leaf rows on each side.
+            costs[~(xs[1:] > xs[:-1])] = np.inf
+            if min_leaf > 1:
+                costs[: min_leaf - 1] = np.inf
+                costs[m - min_leaf :] = np.inf
+            pos = costs.argmin()
             if costs[pos] < best_cost:
                 best_cost = costs[pos]
-                threshold = (xs[pos] + xs[pos + 1]) / 2.0
-                best = (int(feat), float(threshold))
-        return best
-
-    # subclass hooks -----------------------------------------------------
-    def leaf_payload(self, targets: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def split_costs(self, sorted_targets: np.ndarray) -> np.ndarray:
-        """Cost of splitting after position i (i+1 rows left), i in 0..n-2."""
-        raise NotImplementedError
-
-
-class _GiniBuilder(_TreeBuilder):
-    def __init__(self, n_classes, **kwargs):
-        super().__init__(**kwargs)
-        self.n_classes = n_classes
-
-    def leaf_payload(self, targets):
-        return np.bincount(targets, minlength=self.n_classes).astype(np.float64)
-
-    def split_costs(self, sorted_targets):
-        # Sums of squared class counts are integers, so they are exact in
-        # int64 and in float64. Moving a row left raises sum_l^2 by 2r + 1,
-        # where r counts the earlier rows of its class; sum_r^2 follows from
-        # sum_c (T_c - L_c)^2 = sum T^2 - 2 sum_c T_c L_c + sum_l^2.
-        n = sorted_targets.shape[0]
-        total = np.bincount(sorted_targets, minlength=self.n_classes)
-        keys = sorted_targets
-        if total.size <= 256:
-            keys = keys.astype(np.uint8)  # the stable sort becomes a radix sort
-        by_class = np.argsort(keys, kind="stable")
-        rank = np.empty(n, dtype=np.int64)
-        rank[by_class] = np.arange(n) - np.repeat(np.cumsum(total) - total, total)
-        left_sq = (2 * rank + 1).cumsum()[:-1]
-        right_sq = total @ total - 2 * total[sorted_targets].cumsum()[:-1] + left_sq
-        n_left = np.arange(1, n, dtype=np.float64)
-        n_right = n - n_left
-        # Weighted Gini = n - (sum_l^2/n_l + sum_r^2/n_r); constant n dropped.
-        return -(left_sq / n_left + right_sq / n_right)
-
-
-class _VarianceBuilder(_TreeBuilder):
-    def leaf_payload(self, targets):
-        # The same sum and division as targets.mean(axis=0), minus its
-        # wrapper overhead, which shows at one call per node.
-        return np.add.reduce(targets, axis=0) / targets.shape[0]
-
-    def split_costs(self, sorted_targets):
-        n = sorted_targets.shape[0]
-        s1 = sorted_targets.cumsum(axis=0)
-        s2 = (sorted_targets**2).cumsum(axis=0)
-        n_left = np.arange(1, n, dtype=np.float64)[:, np.newaxis]
-        n_right = n - n_left
-        sse_left = s2[:-1] - s1[:-1] ** 2 / n_left
-        sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / n_right
-        return (sse_left + sse_right).sum(axis=1)
+                best = (int(feat), float((xs[pos] + xs[pos + 1]) / 2.0))
+        if best is None:
+            continue
+        feat, threshold = best
+        # Not the first pos + 1 rows of run feat: a midpoint can round up
+        # onto the next distinct value, which then goes left too.
+        in_left = columns[feat][orders] <= threshold
+        left_orders = orders.compress(in_left)
+        right_orders = orders.compress(~in_left)
+        left_m = left_orders.size // (d + 1)
+        if left_m == 0 or left_m == m:
+            continue
+        child = len(payloads)
+        feature[node], thresholds[node], left[node] = feat, threshold, child
+        feature += (-1, -1)
+        thresholds += (np.nan, np.nan)
+        left += (-1, -1)
+        left_rows = left_orders[d * left_m :]
+        right_rows = right_orders[d * (m - left_m) :]
+        if classify:
+            left_payload = np.bincount(targets[left_rows], minlength=n_classes)
+            right_payload = total - left_payload
+        else:
+            left_targets = targets.take(left_rows, axis=0)
+            right_targets = targets.take(right_rows, axis=0)
+            left_payload = np.add.reduce(left_targets) / left_m
+            right_payload = np.add.reduce(right_targets) / (m - left_m)
+        payloads += (left_payload, right_payload)
+        if depth + 1 >= max_depth:
+            continue
+        if m - left_m >= 2 * min_leaf:
+            if classify:
+                pure = count_nonzero(right_payload) == 1
+            else:
+                pure = not count_nonzero(right_targets != right_targets[0])
+            if not pure:
+                stack.append((child + 1, right_orders, depth + 1, right_payload))
+        if left_m >= 2 * min_leaf:
+            if classify:
+                pure = count_nonzero(left_payload) == 1
+            else:
+                pure = not count_nonzero(left_targets != left_targets[0])
+            if not pure:
+                stack.append((child, left_orders, depth + 1, left_payload))
+    left = np.array(left, dtype=np.int64)
+    return _Tree(
+        np.array(feature, dtype=np.int64),
+        np.array(thresholds, dtype=np.float64),
+        left,
+        np.where(left >= 0, left + 1, -1),
+        np.array(payloads, dtype=np.float64).reshape(left.size, -1),
+    )
 
 
 class _DecisionTree:
@@ -227,18 +247,12 @@ class _DecisionTree:
         self.min_leaf = min_leaf
         self._tree: _Tree | None = None
 
-    def _grow(self, builder_type, features, targets, rng, max_features, **kwargs):
+    def _grow(self, features, targets, n_classes, rng, max_features):
         features = np.ascontiguousarray(features, dtype=np.float64)
         if features.shape[0] == 0:
             raise EmptyTrainingSet("tree fitted with no training rows")
-        builder = builder_type(
-            max_depth=self.max_depth,
-            min_leaf=self.min_leaf,
-            max_features=max_features,
-            rng=rng,
-            **kwargs,
-        )
-        self._tree = builder.build(features, targets)
+        self._tree = build(features, targets, n_classes, self.max_depth,
+                           self.min_leaf, max_features, rng)
         return self
 
     def _fitted(self) -> _Tree:
@@ -252,6 +266,16 @@ class _DecisionTree:
         return h.hexdigest()
 
 
+def _check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Raise LabelOutOfRange naming the first label outside [0, n_classes)."""
+    bad = (labels < 0) | (labels >= n_classes)
+    if bad.any():
+        row = int(bad.argmax())
+        raise LabelOutOfRange(
+            f"label {labels[row]} at row {row} is outside [0, {n_classes})"
+        )
+
+
 class DecisionTreeClassifier(_DecisionTree):
     """Greedy Gini CART classifier over integer class labels."""
 
@@ -263,9 +287,7 @@ class DecisionTreeClassifier(_DecisionTree):
     def fit(self, features, labels, rng=None, max_features=None):
         labels = np.asarray(labels, dtype=np.int64)
         n_classes = self.n_classes or int(labels.max(initial=-1)) + 1
-        return self._grow(
-            _GiniBuilder, features, labels, rng, max_features, n_classes=n_classes
-        )
+        return self._grow(features, labels, n_classes, rng, max_features)
 
     def predict_counts(self, features) -> np.ndarray:
         return self._fitted().apply(np.asarray(features, dtype=np.float64))
@@ -282,7 +304,7 @@ class DecisionTreeRegressor(_DecisionTree):
         self._squeeze = targets.ndim == 1
         if self._squeeze:
             targets = targets[:, np.newaxis]
-        return self._grow(_VarianceBuilder, features, targets, rng, max_features)
+        return self._grow(features, targets, None, rng, max_features)
 
     def predict(self, features) -> np.ndarray:
         out = self._fitted().apply(np.asarray(features, dtype=np.float64))
@@ -366,6 +388,7 @@ class RandomForestClassifier(_ForestBase):
     def fit(self, features, labels):
         labels = np.asarray(labels, dtype=np.int64)
         self._classes = self.n_classes or int(labels.max(initial=-1)) + 1
+        _check_labels(labels, self._classes)
         return super().fit(features, labels)
 
     def predict(self, features) -> np.ndarray:

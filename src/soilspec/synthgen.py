@@ -34,6 +34,7 @@ from .core import (
 )
 from .cubeio import (
     fmt_float,
+    read_csv_rows,
     read_cube,
     read_dark_frame,
     write_cube,
@@ -87,9 +88,14 @@ class EndmemberLibrary:
         spectra = np.asarray(self.spectra, dtype=np.float64)
         if spectra.shape != (3, N_BANDS):
             raise MalformedHeader(f"endmember spectra must be (3, {N_BANDS})")
-        if np.any(spectra <= 0) or np.any(spectra >= MAX_INTENSITY):
-            raise MalformedHeader("endmember levels must lie strictly in (0, 1023)")
+        self.check_levels(spectra)
         object.__setattr__(self, "spectra", spectra)
+
+    @staticmethod
+    def check_levels(levels: np.ndarray) -> None:
+        # written as a negation so that NaN fails it too
+        if not ((levels > 0) & (levels < MAX_INTENSITY)).all():
+            raise MalformedHeader("endmember levels must lie strictly in (0, 1023)")
 
     def mix(self, weights: np.ndarray) -> np.ndarray:
         """Per-band base level of a weighted mixture."""
@@ -356,55 +362,58 @@ def generate_dataset(
 
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
+    """Read a manifest; a short row, an unknown role or texture, a non-numeric
+    or non-finite weight and a non-numeric or off-simplex composition each
+    name the 1-based line."""
     path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != MANIFEST_HEADER:
-                raise MalformedHeader(f"{path}: unexpected manifest header")
-            rows = list(reader)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
     entries = []
-    for row in rows:
-        entries.append(
-            ManifestEntry(
-                specimen_id=row[0],
-                role=row[1],
-                weights=(float(row[2]), float(row[3]), float(row[4])),
-                composition=validate_composition(
-                    float(row[5]), float(row[6]), float(row[7])
-                ),
-                texture=TextureClass.from_name(row[8]),
-                cube_path=row[9],
+    for line, row in enumerate(read_csv_rows(path, MANIFEST_HEADER, "manifest"), 2):
+        if len(row) != len(MANIFEST_HEADER):
+            raise MalformedHeader(f"{path}: line {line} has {len(row)} fields")
+        try:
+            weights = (float(row[2]), float(row[3]), float(row[4]))
+            composition = validate_composition(
+                float(row[5]), float(row[6]), float(row[7])
             )
+            texture = TextureClass.from_name(row[8])
+        except ValueError as exc:
+            raise MalformedHeader(f"{path}: line {line}: {exc}") from None
+        except SoilspecError as exc:
+            raise type(exc)(f"{path}: line {line}: {exc}") from None
+        if row[1] not in _ROLE_INDEX:
+            raise MalformedHeader(f"{path}: line {line}: unknown role {row[1]!r}")
+        if not np.isfinite(weights).all():
+            raise MalformedHeader(f"{path}: line {line}: non-finite weight")
+        entries.append(
+            ManifestEntry(row[0], row[1], weights, composition, texture, row[9])
         )
     return entries
 
 
 def read_endmember_csv(path: str | Path) -> EndmemberLibrary:
-    """Load endmember spectra overrides: band_nm,clayrich,siltrich,sandrich."""
+    """Load endmember spectra overrides: band_nm,clayrich,siltrich,sandrich.
+
+    A short row, a non-integer band, a non-numeric level or a level outside
+    (0, 1023) names the 1-based line."""
     path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["band_nm", "clayrich", "siltrich", "sandrich"]:
-                raise MalformedHeader(f"{path}: unexpected endmember header")
-            rows = list(reader)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    rows = read_csv_rows(path, ["band_nm", *ENDMEMBER_NAMES], "endmember")
     if len(rows) != N_BANDS:
         raise MalformedHeader(f"{path}: expected {N_BANDS} band rows")
     spectra = np.empty((3, N_BANDS))
     for i, row in enumerate(rows):
-        if int(row[0]) != BAND_WAVELENGTHS_NM[i]:
+        if len(row) != 4:
+            raise MalformedHeader(f"{path}: line {i + 2} has {len(row)} fields")
+        try:
+            band = int(row[0])
+            spectra[:, i] = [float(row[1]), float(row[2]), float(row[3])]
+            EndmemberLibrary.check_levels(spectra[:, i])
+        except (ValueError, MalformedHeader) as exc:
+            raise MalformedHeader(f"{path}: line {i + 2}: {exc}") from None
+        if band != BAND_WAVELENGTHS_NM[i]:
             raise MalformedHeader(
-                f"{path}: band {row[0]} out of order (expected "
+                f"{path}: line {i + 2}: band {band} out of order (expected "
                 f"{BAND_WAVELENGTHS_NM[i]})"
             )
-        spectra[:, i] = [float(row[1]), float(row[2]), float(row[3])]
     return EndmemberLibrary(spectra=spectra)
 
 

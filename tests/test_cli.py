@@ -9,7 +9,9 @@ import pytest
 
 import soilspec
 from soilspec.cli import main
+from soilspec.core import BAND_WAVELENGTHS_NM
 from soilspec.cubeio import read_observation_csv
+from soilspec.synthgen import DEFAULT_ENDMEMBERS
 
 
 def run(argv, capsys):
@@ -18,11 +20,23 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def default_endmember_rows():
+    rows = ["band_nm,clayrich,siltrich,sandrich"]
+    for nm, levels in zip(BAND_WAVELENGTHS_NM, DEFAULT_ENDMEMBERS.spectra.T):
+        rows.append(",".join([str(nm), *map(repr, levels.tolist())]))
+    return rows
+
+
 def test_cli_import_leaves_out_the_kd_tree():
-    # scipy.spatial adds about 0.12 s to every start-up; only KNN and SMOTE
-    # need it, and they import it on first use
+    # scipy.spatial adds about 0.12 s to every start-up and scipy.linalg about
+    # 0.3 s; only KNN and SMOTE, and the LDA fit, need them, and they import
+    # them on first use
     src = str(Path(soilspec.__file__).resolve().parents[1])
-    probe = "import sys, soilspec.cli; sys.exit('scipy.spatial' in sys.modules)"
+    probe = (
+        "import sys, soilspec.cli; "
+        "loaded = {'scipy.spatial', 'scipy.linalg'} & set(sys.modules); "
+        "sys.exit(' '.join(loaded) or None)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -298,6 +312,65 @@ class TestEndToEnd:
         )
         assert code == 1
         assert "train.csv: no observation rows" in err
+
+    @pytest.mark.parametrize(
+        "line, cells, message",
+        [
+            (5, ["nan"], "line 5: endmember levels"),
+            (3, ["1023"], "line 3: endmember levels"),
+            (4, ["abc"], "line 4: could not convert"),
+            (6, None, "line 6 has 3 fields"),
+        ],
+    )
+    def test_bad_endmember_cell_names_the_line(self, tmp_path, capsys, line, cells,
+                                               message):
+        rows = default_endmember_rows()
+        fields = rows[line - 1].split(",")
+        rows[line - 1] = ",".join(fields[:3] if cells is None else fields[:3] + cells)
+        path = tmp_path / "endmembers.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code, _, err = run(
+            ["generate", "--out", str(tmp_path / "data"), "--replicates", "1,0",
+             "--endmembers", str(path)],
+            capsys,
+        )
+        assert code == 1
+        assert f"endmembers.csv: {message}" in err
+        assert not (tmp_path / "data" / "manifest.csv").exists()
+
+    def test_non_integer_endmember_band_names_the_line(self, tmp_path, capsys):
+        rows = default_endmember_rows()
+        rows[2] = "450.5" + rows[2][rows[2].index(","):]
+        path = tmp_path / "endmembers.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code, _, err = run(["generate", "--out", str(tmp_path / "data"),
+                            "--endmembers", str(path)], capsys)
+        assert code == 1
+        assert "endmembers.csv: line 3: invalid literal" in err
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [(2, "abc", "could not convert"), (3, "nan", "non-finite weight"),
+         (1, "trian", "unknown role 'trian'"), (8, "loamy", "unknown texture"),
+         (5, "150", "clay component"), (9, None, "has 9 fields")],
+    )
+    def test_bad_manifest_cell_names_the_line(self, tiny_run, tmp_path, capsys,
+                                              column, value, message):
+        base, data, features = tiny_run
+        lines = (data / "manifest.csv").read_text().splitlines()
+        fields = lines[4].split(",")
+        if value is None:
+            del fields[column]
+        else:
+            fields[column] = value
+        lines[4] = ",".join(fields)
+        (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            ["extract", "--data", str(tmp_path), "--out", str(tmp_path / "features")],
+            capsys,
+        )
+        assert code == 1
+        assert "manifest.csv: line 5" in err and message in err
 
     def test_thread_count_leaves_tree_outputs_unchanged(self, tiny_run, capsys):
         # forests fit serially and --threads sets only the KNN query

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from soilspec.errors import (
     ConstantTruth,
     EmptyTrainingSet,
     KTooLarge,
+    LabelOutOfRange,
     LengthMismatch,
     NotFitted,
     NumericalFailure,
@@ -23,6 +25,7 @@ from soilspec.ml import (
     regression_metrics,
     smote,
 )
+from soilspec.ml import trees
 from soilspec.ml.neighbors import build_tree, k_nearest
 from soilspec.seeding import derive_seed
 
@@ -446,6 +449,88 @@ class TestPresortedOracle:
         y = (rng.integers(0, n_classes, n) + (X[:, 0] > 0) * 7) % n_classes
         model = DecisionTreeClassifier(n_classes=n_classes).fit(X, y)
         assert_tree_matches(model, reference_tree(X, y, n_classes))
+
+
+class TestFeatureDraws:
+    @pytest.mark.parametrize("d", range(2, 14))
+    def test_chunked_draws_equal_successive_choice_calls(self, d):
+        # after a forest's bootstrap draw, over more than two chunks of 256
+        for seed in range(4):
+            streams = []
+            for _ in range(2):
+                rng = np.random.Generator(np.random.PCG64(derive_seed(seed, d)))
+                rng.integers(0, 97, size=97)
+                streams.append(rng)
+            chunked, reference = streams
+            got = list(itertools.islice(trees._single_draws(chunked, d), 700))
+            want = [int(reference.choice(d, 1, replace=False)[0]) for _ in range(700)]
+            assert got == want
+
+
+class TestTreeFitCalls:
+    @pytest.mark.parametrize(
+        "forest, tree, labels",
+        [
+            (RandomForestClassifier, DecisionTreeClassifier, True),
+            (RandomForestRegressor, DecisionTreeRegressor, False),
+        ],
+    )
+    def test_forest_fits_each_tree_through_its_fit(self, monkeypatch, forest, tree,
+                                                   labels):
+        # per-tree instrumentation wraps the tree classes' fit, as a caller
+        # sees it, and reads each fitted tree's node arrays
+        calls = []
+        original = tree.fit
+
+        def counting_fit(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(tree, "fit", counting_fit)
+        rng = np.random.default_rng(70)
+        X = rng.normal(0, 1, (80, 4))
+        y = rng.integers(0, 3, 80) if labels else rng.normal(0, 1, 80)
+        model = forest(n_trees=5, seed=2).fit(X, y)
+        assert calls == model.trees
+        for fitted in model.trees:
+            assert fitted._tree.feature.dtype == np.int64
+            assert fitted._tree.feature.size >= 1
+
+
+class TestLabelRange:
+    @pytest.mark.parametrize("bad, row", [(5, 7), (-1, 3)])
+    @pytest.mark.parametrize(
+        "model",
+        [lambda: DecisionTreeClassifier(n_classes=3),
+         lambda: RandomForestClassifier(n_trees=2, n_classes=3)],
+        ids=["tree", "forest"],
+    )
+    def test_label_outside_class_range(self, model, bad, row):
+        X = np.arange(20.0)[:, np.newaxis]
+        y = np.arange(20) % 3
+        y[row] = bad
+        y[row + 5] = bad
+        with pytest.raises(LabelOutOfRange, match=rf"label {bad} at row {row} "):
+            model().fit(X, y)
+
+    def test_negative_label_without_class_count(self):
+        with pytest.raises(LabelOutOfRange, match="label -2 at row 1 "):
+            DecisionTreeClassifier().fit(np.zeros((3, 1)), [0, -2, 1])
+
+    def test_forest_checks_labels_once(self, monkeypatch):
+        checks = []
+        original = trees._check_labels
+
+        def counting(labels, n_classes):
+            checks.append(labels.size)
+            original(labels, n_classes)
+
+        monkeypatch.setattr(trees, "_check_labels", counting)
+        rng = np.random.default_rng(71)
+        RandomForestClassifier(n_trees=4, n_classes=3).fit(
+            rng.normal(0, 1, (30, 2)), rng.integers(0, 3, 30)
+        )
+        assert checks == [30]
 
 
 class TestRandomForest:

@@ -118,6 +118,13 @@ class TestEndmembers:
         with pytest.raises(MalformedHeader):
             EndmemberLibrary(spectra=np.ones((3, 5)))
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, 0.0, 1023.0])
+    def test_spectra_level_validation(self, level):
+        spectra = DEFAULT_ENDMEMBERS.spectra.copy()
+        spectra[1, 4] = level
+        with pytest.raises(MalformedHeader):
+            EndmemberLibrary(spectra=spectra)
+
 
 class TestSynthesizeCube:
     def test_zero_noise_pure_sand_constant_planes(self):
