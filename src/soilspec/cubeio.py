@@ -23,6 +23,7 @@ from .core import (
     BLOCK_GRID,
     COMPOSITION_TOL,
     N_BANDS,
+    TEXTURE_NAMES,
     DarkFrame,
     ObservationTable,
     SpectralCube,
@@ -137,22 +138,44 @@ def fmt_float(value: float) -> str:
     return repr(float(value))
 
 
+# Rows formatted and written per chunk: one string for a whole table would
+# hold every row's text and floats at once.
+_CSV_CHUNK_ROWS = 2000
+
+
+def _csv_field(text: str) -> str:
+    """One field as csv.writer's default dialect writes it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_observation_csv(table: ObservationTable, path: str | Path) -> None:
-    """Write the block-level observation table with the canonical header."""
+    """Write the block-level observation table with the canonical header.
+
+    The bytes are those of ``csv.writer`` with ``fmt_float`` cells: CRLF
+    line ends, and ids quoted where they hold a comma, a quote or a line
+    break.
+    """
+    n = len(table)
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(OBSERVATION_HEADER)
-            for i in range(len(table)):
-                row = [
-                    str(table.specimen_ids[i]),
-                    str(int(table.block_rows[i])),
-                    str(int(table.block_cols[i])),
-                ]
-                row += [fmt_float(v) for v in table.features[i]]
-                row += [fmt_float(v) for v in table.compositions[i]]
-                row.append(TextureClass.from_index(int(table.texture_codes[i])).value)
-                writer.writerow(row)
+            fh.write(",".join(OBSERVATION_HEADER) + "\r\n")
+            for start in range(0, n, _CSV_CHUNK_ROWS):
+                rows = slice(start, min(n, start + _CSV_CHUNK_ROWS))
+                fh.write("".join(
+                    f"{_csv_field(str(sid))},{r},{c},"
+                    f"{','.join(map(repr, feats))},{','.join(map(repr, comps))},"
+                    f"{TEXTURE_NAMES[code]}\r\n"
+                    for sid, r, c, feats, comps, code in zip(
+                        table.specimen_ids[rows].tolist(),
+                        table.block_rows[rows].tolist(),
+                        table.block_cols[rows].tolist(),
+                        table.features[rows].tolist(),
+                        table.compositions[rows].tolist(),
+                        table.texture_codes[rows].tolist(),
+                    )
+                ))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

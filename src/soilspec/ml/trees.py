@@ -32,6 +32,7 @@ import numpy as np
 
 from ..errors import EmptyTrainingSet, LabelOutOfRange, NotFitted
 from ..seeding import derive_seed
+from .neighbors import check_finite
 
 
 class _Tree:
@@ -107,10 +108,14 @@ def build(features, targets, n_classes, max_depth, min_leaf, max_features, rng):
         pure = count_nonzero(payload) == 1
     else:
         target_columns = list(np.ascontiguousarray(targets.T))
+        target_rows = targets
         if len(target_columns) == 1:
             # the (n, 1) and the 1-D sums are the same; 1-D calls cost less
             targets = target_columns[0]
         payload = np.add.reduce(targets) / n
+        # a NaN or inf target leaves the root mean non-finite
+        if not np.isfinite(payload).all():
+            check_finite(target_rows, "tree target")
         pure = not count_nonzero(targets != targets[0])
     if max_features is not None and max_features < d:
         draws = _single_draws(rng, d) if max_features == 1 else None
@@ -127,8 +132,14 @@ def build(features, targets, n_classes, max_depth, min_leaf, max_features, rng):
     if max_depth > 0 and n >= 2 * min_leaf and not pure:
         orders = np.empty((d + 1, n), dtype=np.int64)
         orders[:d] = np.argsort(columns, axis=1, kind="stable")
+        # NaN sorts last and -inf first: a non-finite value shows at an end
+        ends = np.take_along_axis(columns, orders[:d, [0, -1]], axis=1)
+        if not np.isfinite(ends).all():
+            check_finite(features, "tree feature")
         orders[d] = np.arange(n)
         stack.append((0, orders.ravel(), 0, payload))
+    else:
+        check_finite(features, "tree feature")
     while stack:
         node, orders, depth, total = stack.pop()
         m = orders.size // (d + 1)
@@ -266,6 +277,14 @@ class _DecisionTree:
         return h.hexdigest()
 
 
+def _as_labels(labels) -> np.ndarray:
+    """int64 labels; float labels must be finite to convert."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        check_finite(labels.reshape(labels.shape[0], -1), "label")
+    return labels.astype(np.int64, copy=False)
+
+
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
     """Raise LabelOutOfRange naming the first label outside [0, n_classes)."""
     bad = (labels < 0) | (labels >= n_classes)
@@ -285,7 +304,7 @@ class DecisionTreeClassifier(_DecisionTree):
         self.n_classes = n_classes
 
     def fit(self, features, labels, rng=None, max_features=None):
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _as_labels(labels)
         n_classes = self.n_classes or int(labels.max(initial=-1)) + 1
         return self._grow(features, labels, n_classes, rng, max_features)
 
@@ -347,6 +366,10 @@ class _ForestBase:
         targets = np.asarray(targets)
         if features.shape[0] == 0:
             raise EmptyTrainingSet("forest fitted with no training rows")
+        # Once per forest, naming rows of the caller's data; each tree's own
+        # check is then only a look at its root sort and root mean.
+        check_finite(features, "forest feature")
+        check_finite(targets.reshape(targets.shape[0], -1), "forest target")
         max_features = self._feature_count(features.shape[1])
         if not self.bootstrap and self.n_trees == 1:
             max_features = None  # a single tree on all rows is a plain tree fit
@@ -386,7 +409,7 @@ class RandomForestClassifier(_ForestBase):
         )
 
     def fit(self, features, labels):
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _as_labels(labels)
         self._classes = self.n_classes or int(labels.max(initial=-1)) + 1
         _check_labels(labels, self._classes)
         return super().fit(features, labels)

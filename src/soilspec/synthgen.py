@@ -9,12 +9,15 @@ to reproduce real soil optics.
 
 All randomness derives from one master seed through an explicit index path
 (role, mixture, replicate), so generation is reproducible and specimens can
-be synthesized in any order.
+be synthesized in any order. Each thread renders its cubes in its own three
+reusable float64 buffers, in place, with the IEEE operations of the
+allocating formula in its order, so reuse changes no bit.
 """
 
 from __future__ import annotations
 
 import csv
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,6 +26,7 @@ import numpy as np
 
 from .core import (
     BAND_WAVELENGTHS_NM,
+    COMPOSITION_TOL,
     MAX_INTENSITY,
     N_BANDS,
     Composition,
@@ -75,6 +79,8 @@ DEFAULT_ENDMEMBER_SPECTRA = np.array(
 IMAGE_SIDE = 120
 DEFAULT_ROI = Roi(x1=10, y1=10)
 _PIXEL_BLOCK = 10
+_CUBE_SHAPE = (N_BANDS, IMAGE_SIDE, IMAGE_SIDE)
+_SCRATCH = threading.local()
 
 
 @dataclass(frozen=True)
@@ -228,6 +234,19 @@ def synthesize_dark_frame(noise: NoiseModel, seed: int) -> DarkFrame:
     return DarkFrame(plane=plane)
 
 
+def _cube_scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's float64 signal, pixel and shot buffers, one cube each.
+
+    Every call overwrites them in full; reusing them spares each cube fresh
+    pages for three 1.5 MB temporaries.
+    """
+    buffers = getattr(_SCRATCH, "buffers", None)
+    if buffers is None:
+        buffers = tuple(np.empty(_CUBE_SHAPE) for _ in range(3))
+        _SCRATCH.buffers = buffers
+    return buffers
+
+
 def synthesize_cube(
     spec: MixtureSpec,
     endmembers: EndmemberLibrary,
@@ -239,6 +258,9 @@ def synthesize_cube(
 
     Draw order per band stack: block texture, dark offsets, then unit
     normals scaled by shot_scale * signal; fixed so a seed pins the cube.
+    Per pixel, ``rint((signal + dark) + (shot_scale * signal) * shot)``
+    clipped to 0..1023, evaluated in place in this thread's scratch buffers
+    with exactly those IEEE operations.
     """
     rng = np.random.Generator(np.random.PCG64(specimen_seed))
     base = endmembers.mix(np.asarray(spec.weights))
@@ -247,14 +269,20 @@ def synthesize_cube(
     # surface patch whose packing shifts the whole spectrum together.
     block_noise = rng.normal(0.0, noise.block_texture_std, (grid, grid))
     block_pixels = np.kron(block_noise, np.ones((_PIXEL_BLOCK, _PIXEL_BLOCK)))
-    signal = base[:, np.newaxis, np.newaxis] + block_pixels[np.newaxis, :, :]
-    dark_offsets = rng.normal(
-        noise.dark_mean, noise.dark_std, (N_BANDS, IMAGE_SIDE, IMAGE_SIDE)
-    )
-    shot = rng.standard_normal((N_BANDS, IMAGE_SIDE, IMAGE_SIDE))
-    pixels = signal + dark_offsets + noise.shot_scale * signal * shot
-    planes = np.clip(np.rint(pixels), 0, MAX_INTENSITY).astype(np.uint16)
-    cube = SpectralCube(planes=planes)
+    signal, pixels, shot = _cube_scratch()
+    np.add(base[:, np.newaxis, np.newaxis], block_pixels[np.newaxis, :, :], out=signal)
+    # dark offsets: standard normals * std + mean, the same bits as rng.normal
+    rng.standard_normal(out=pixels)
+    pixels *= noise.dark_std
+    pixels += noise.dark_mean
+    pixels += signal
+    rng.standard_normal(out=shot)
+    signal *= noise.shot_scale
+    shot *= signal
+    pixels += shot
+    np.rint(pixels, out=pixels)
+    np.clip(pixels, 0, MAX_INTENSITY, out=pixels)
+    cube = SpectralCube(planes=pixels.astype(np.uint16))
     if dark is None:
         dark = synthesize_dark_frame(noise, derive_seed(specimen_seed, 1))
     composition = spec.composition()
@@ -363,8 +391,10 @@ def generate_dataset(
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a manifest; a short row, an unknown role or texture, a non-numeric
-    or non-finite weight and a non-numeric or off-simplex composition each
-    name the 1-based line."""
+    or non-finite weight, a non-numeric or off-simplex composition, weights
+    that do not sum to 1 or do not mix to the row's composition, and a
+    texture other than the triangle's for that composition each name the
+    1-based line."""
     path = Path(path)
     entries = []
     for line, row in enumerate(read_csv_rows(path, MANIFEST_HEADER, "manifest"), 2):
@@ -376,14 +406,28 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
                 float(row[5]), float(row[6]), float(row[7])
             )
             texture = TextureClass.from_name(row[8])
+            if row[1] not in _ROLE_INDEX:
+                raise MalformedHeader(f"unknown role {row[1]!r}")
+            if not np.isfinite(weights).all():
+                raise MalformedHeader("non-finite weight")
+            mixed = mixture_composition(
+                np.asarray(weights), ENDMEMBER_COMPOSITIONS
+            ).as_array()
+            if np.abs(mixed - composition.as_array()).max() > COMPOSITION_TOL:
+                raise MalformedHeader(
+                    f"weights {list(weights)} mix to {mixed.tolist()}, "
+                    f"not to the row's composition"
+                )
+            expected = classify_composition(composition)
+            if texture is not expected:
+                raise MalformedHeader(
+                    f"texture {texture.value} differs from the triangle's "
+                    f"{expected.value} for this composition"
+                )
         except ValueError as exc:
             raise MalformedHeader(f"{path}: line {line}: {exc}") from None
         except SoilspecError as exc:
             raise type(exc)(f"{path}: line {line}: {exc}") from None
-        if row[1] not in _ROLE_INDEX:
-            raise MalformedHeader(f"{path}: line {line}: unknown role {row[1]!r}")
-        if not np.isfinite(weights).all():
-            raise MalformedHeader(f"{path}: line {line}: non-finite weight")
         entries.append(
             ManifestEntry(row[0], row[1], weights, composition, texture, row[9])
         )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -44,6 +45,68 @@ def test_cli_import_leaves_out_the_kd_tree():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+# sha256 of every output of generate + extract at --seed 3 --replicates 1,1,
+# recorded before synthesis and preprocessing ran in place and the
+# observation CSVs were written in joined chunks; "cubes" hashes the cube
+# files concatenated in name order.
+GOLDEN_DIGESTS = {
+    "clean": {
+        "cubes":
+            "b123a506520b6552e8cd1b3d0d47740c8d3354e39398105f473e2dac10865e2d",
+        "dark.msc":
+            "4d1ca5c8a1a363bb324e01f494b08920fadcefcc143a78da20dbb55a0eda0d03",
+        "manifest.csv":
+            "13dbe5f1b00e88fbbdc90e756358c87d4a5baf1ea5259fedc12424a6480a0504",
+        "train.csv":
+            "83690798772eeffdbef4ea09b112ef3a9cca5ea44cfd2b3f83626bb2efd0d301",
+        "validation.csv":
+            "207e3149037d904463a8e3889c30ba27f2c7f4f0be12c08c79596488468d6a28",
+    },
+    "bench": {
+        "cubes":
+            "48ab6c0817882d405e4489464105c7485e5172950135eeea0bd823d9f8af5172",
+        "dark.msc":
+            "43d975b5c246d43d01918ea6c78c1bd28ef5a517505a2ca6614555d084740966",
+        "manifest.csv":
+            "13dbe5f1b00e88fbbdc90e756358c87d4a5baf1ea5259fedc12424a6480a0504",
+        "train.csv":
+            "96e96676c5ba624fdd9704c91d8cd3cb587bb49541cc96068bd4de189ec5da95",
+        "validation.csv":
+            "a5585d6e054b6a00d7d9d292be4e2435193127638c2294a1762f7fecc156ab56",
+    },
+    "stress": {
+        "cubes":
+            "e3a2f47b3298e46400c864a9ae7f9ad45bdb03da9dfae55bdfa056bac3e2b832",
+        "dark.msc":
+            "153dba8048833c7aa39211a51840f3676f8ee48436a18f3c7c75b483dfb895d5",
+        "manifest.csv":
+            "13dbe5f1b00e88fbbdc90e756358c87d4a5baf1ea5259fedc12424a6480a0504",
+        "train.csv":
+            "358c4733211ae0c47d7f1bf3c23c9ea32252e473b2eb29c35e4600b52ecdc87b",
+        "validation.csv":
+            "7f7ab57c07da07a3bc9ed03bef3598449bd2bffde108d5a4c52d760a5ef8c7dd",
+    },
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("preset", sorted(GOLDEN_DIGESTS))
+def test_generate_and_extract_bytes_are_pinned(tmp_path, preset, threads):
+    data, features = tmp_path / "data", tmp_path / "features"
+    assert main(["generate", "--seed", "3", "--noise", preset, "--replicates", "1,1",
+                 "--out", str(data), "--threads", threads]) == 0
+    assert main(["extract", "--data", str(data), "--out", str(features),
+                 "--threads", threads]) == 0
+    cubes = hashlib.sha256()
+    for path in sorted((data / "cubes").iterdir()):
+        cubes.update(path.read_bytes())
+    digests = {"cubes": cubes.hexdigest()}
+    for path in (data / "dark.msc", data / "manifest.csv",
+                 features / "train.csv", features / "validation.csv"):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_DIGESTS[preset]
 
 
 class TestTriangleCommand:
@@ -352,7 +415,9 @@ class TestEndToEnd:
         "column, value, message",
         [(2, "abc", "could not convert"), (3, "nan", "non-finite weight"),
          (1, "trian", "unknown role 'trian'"), (8, "loamy", "unknown texture"),
-         (5, "150", "clay component"), (9, None, "has 9 fields")],
+         (5, "150", "clay component"), (9, None, "has 9 fields"),
+         (2, "0.5", "sum to 1"), (2, [3, 2], "not to the row's composition"),
+         (8, "Clay", "texture Clay differs from the triangle's Sand ")],
     )
     def test_bad_manifest_cell_names_the_line(self, tiny_run, tmp_path, capsys,
                                               column, value, message):
@@ -361,6 +426,8 @@ class TestEndToEnd:
         fields = lines[4].split(",")
         if value is None:
             del fields[column]
+        elif isinstance(value, list):  # swap two weights: still sum to 1
+            fields[column], fields[value[0]] = fields[value[0]], fields[column]
         else:
             fields[column] = value
         lines[4] = ",".join(fields)

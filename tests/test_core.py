@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soilspec import cubeio
 from soilspec.core import (
     BAND_WAVELENGTHS_NM,
     N_BANDS,
@@ -14,6 +17,7 @@ from soilspec.core import (
 )
 from soilspec.cubeio import (
     OBSERVATION_HEADER,
+    fmt_float,
     read_cube,
     read_dark_frame,
     read_observation_csv,
@@ -199,6 +203,57 @@ def make_table(n_specimens=2, seed=0):
         compositions=comps,
         texture_codes=rng.integers(0, 12, n),
     )
+
+
+def csv_writer_bytes(table, path):
+    """The observation CSV as csv.writer writes it, one fmt_float per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(OBSERVATION_HEADER)
+        for i in range(len(table)):
+            writer.writerow(
+                [str(table.specimen_ids[i]), str(int(table.block_rows[i])),
+                 str(int(table.block_cols[i]))]
+                + [fmt_float(v) for v in table.features[i]]
+                + [fmt_float(v) for v in table.compositions[i]]
+                + [TextureClass.from_index(int(table.texture_codes[i])).value]
+            )
+    return path.read_bytes()
+
+
+class TestObservationCsvBytes:
+    """The joined, chunked writer against csv.writer, byte for byte."""
+
+    def check(self, table, tmp_path):
+        write_observation_csv(table, tmp_path / "joined.csv")
+        expected = csv_writer_bytes(table, tmp_path / "reference.csv")
+        assert (tmp_path / "joined.csv").read_bytes() == expected
+        return expected
+
+    def test_ids_that_need_quoting(self, tmp_path):
+        table = make_table(n_specimens=7)
+        ids = ["a,b", 'say "hi"', "two\nlines", "cr\rid", "", " pad ", "plain"]
+        table.specimen_ids = np.repeat(ids, 100).astype(object)
+        written = self.check(table, tmp_path)
+        assert b'"a,b",' in written and b'"say ""hi""",' in written
+        assert b"\r\n\"two\nlines\"," in written
+
+    def test_awkward_floats(self, tmp_path):
+        table = make_table()
+        table.features[0, :4] = [-0.0, 5e-324, 1e300, 0.1 + 0.2]
+        table.compositions[1] = [1e-310, 100.0 - 1e-310, 0.0]
+        written = self.check(table, tmp_path)
+        assert b",-0.0,5e-324,1e+300,0.30000000000000004," in written
+
+    def test_empty_table(self, tmp_path):
+        table = make_table().select(np.zeros(200, dtype=bool))
+        assert self.check(table, tmp_path).count(b"\r\n") == 1
+
+    def test_longer_than_one_chunk(self, tmp_path):
+        table = make_table(n_specimens=21, seed=9)
+        assert len(table) > cubeio._CSV_CHUNK_ROWS
+        written = self.check(table, tmp_path)
+        assert written.count(b"\r\n") == 2101
 
 
 class TestObservationCsv:

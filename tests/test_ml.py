@@ -533,6 +533,73 @@ class TestLabelRange:
         assert checks == [30]
 
 
+class TestNonFinite:
+    # a NaN used to give a one-leaf tree predicting NaN, or to route its row
+    # right at every split, without a word
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "model, what",
+        [(DecisionTreeRegressor, "tree"),
+         (lambda: RandomForestRegressor(n_trees=3), "forest"),
+         (DecisionTreeClassifier, "tree"),
+         (lambda: RandomForestClassifier(n_trees=3), "forest")],
+        ids=["tree-reg", "forest-reg", "tree-clf", "forest-clf"],
+    )
+    def test_non_finite_feature_names_the_row(self, model, what, bad):
+        X = np.arange(40.0).reshape(20, 2)
+        X[6, 1] = bad
+        with pytest.raises(NumericalFailure, match=f"{what} feature row 6 "):
+            model().fit(X, np.arange(20) % 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "model, what",
+        [(DecisionTreeRegressor, "tree target"),
+         (lambda: RandomForestRegressor(n_trees=3), "forest target"),
+         (DecisionTreeClassifier, "label"),
+         (lambda: RandomForestClassifier(n_trees=3), "label")],
+        ids=["tree-reg", "forest-reg", "tree-clf", "forest-clf"],
+    )
+    def test_non_finite_target_names_the_row(self, model, what, bad):
+        y = (np.arange(20) % 3).astype(np.float64)
+        y[11] = bad
+        with pytest.raises(NumericalFailure, match=f"{what} row 11 "):
+            model().fit(np.arange(20.0)[:, np.newaxis], y)
+
+    def test_multi_column_target(self):
+        y = np.ones((20, 3))
+        y[9, 2] = np.nan
+        with pytest.raises(NumericalFailure, match="tree target row 9 "):
+            DecisionTreeRegressor().fit(np.arange(20.0)[:, np.newaxis], y)
+
+    @pytest.mark.parametrize(
+        "model, kwargs",
+        [(DecisionTreeClassifier, {}), (DecisionTreeRegressor, {}),
+         (DecisionTreeClassifier, {"max_depth": 0}),
+         (DecisionTreeRegressor, {"min_leaf": 20})],
+    )
+    def test_unsplit_root_still_checks_features(self, model, kwargs):
+        # a pure or unsplittable root never sorts its features
+        X = np.arange(20.0)[:, np.newaxis]
+        X[3] = np.nan
+        with pytest.raises(NumericalFailure, match="tree feature row 3 "):
+            model(**kwargs).fit(X, np.zeros(20, dtype=np.int64))
+
+    @pytest.mark.parametrize("forest", [RandomForestClassifier, RandomForestRegressor])
+    def test_forest_checks_once(self, monkeypatch, forest):
+        checks = []
+        original = trees.check_finite
+
+        def counting(values, what):
+            checks.append((what, values.shape))
+            original(values, what)
+
+        monkeypatch.setattr(trees, "check_finite", counting)
+        rng = np.random.default_rng(72)
+        forest(n_trees=4).fit(rng.normal(0, 1, (30, 2)), rng.integers(0, 3, 30))
+        assert checks == [("forest feature", (30, 2)), ("forest target", (30, 1))]
+
+
 class TestRandomForest:
     def test_single_tree_no_bootstrap_matches_tree(self):
         rng = np.random.default_rng(58)

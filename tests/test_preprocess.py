@@ -211,3 +211,64 @@ class TestPreprocessCube:
             permuted[i] = np.abs(nc(cropped_raw[i], stats,
                                     NormalizationParams()) - 20.0)
         assert not np.allclose(permuted, out.planes)
+
+
+def reference_preprocess(cube, dark, roi, kappa):
+    """The allocating stage-by-stage form: correct the whole frame, crop,
+    then normalize each band out of place."""
+    corrected = np.abs(cube.planes.astype(np.float64) - dark.plane.astype(np.float64))
+    cropped = corrected[:, roi.y1 : roi.y1 + roi.side, roi.x1 : roi.x1 + roi.side]
+    out = np.empty(cropped.shape)
+    stats = []
+    for i, plane in enumerate(cropped.copy()):
+        mu, sigma = float(plane.mean()), float(plane.std())
+        stats.append(BandStats(mu, sigma))
+        if sigma == 0.0:
+            out[i] = mu
+            continue
+        mapped = (mu - sigma) + 2.0 * sigma * (np.tanh(kappa * (plane - mu)) + 1.0) / 2.0
+        out[i] = np.clip(mapped, mu - sigma, mu + sigma)
+    return out, tuple(stats)
+
+
+class TestInPlacePreprocess:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("roi", [Roi(10, 10), Roi(0, 20), Roi(20, 0)])
+    @pytest.mark.parametrize("kappa", [0.03, 0.5])
+    def test_bits_equal_the_allocating_form(self, seed, roi, kappa):
+        rng = np.random.default_rng(seed + 10)
+        dark = DarkFrame(plane=rng.integers(0, 90, (120, 120), dtype=np.uint16))
+        planes = make_cube(seed=seed).planes.copy()
+        planes[4] = dark.plane + 77  # corrects to a constant: sigma == 0
+        cube = SpectralCube(planes=planes)
+        out = preprocess_cube(cube, dark, roi, NormalizationParams(kappa=kappa))
+        expected, stats = reference_preprocess(cube, dark, roi, kappa)
+        assert np.array_equal(out.planes.view(np.uint64), expected.view(np.uint64))
+        assert out.stats == stats
+        assert out.stats[4].std == 0.0
+
+    def test_normalize_contrast_leaves_its_input(self):
+        plane = np.random.default_rng(3).uniform(0, 1023, (100, 100))
+        kept = plane.copy()
+        stats = roi_stats(plane)
+        out = normalize_contrast(plane, stats, NormalizationParams())
+        assert np.array_equal(plane, kept)
+        mu, sigma = stats.mean, stats.std
+        mapped = (mu - sigma) + 2.0 * sigma * (np.tanh(0.03 * (plane - mu)) + 1.0) / 2.0
+        assert np.array_equal(out, np.clip(mapped, mu - sigma, mu + sigma))
+
+    @pytest.mark.parametrize(
+        "cube, dark, roi, error, message",
+        [(np.zeros((N_BANDS, 120)), np.zeros((120, 120)), Roi(10, 10),
+          DimensionMismatch, "expected (bands, h, w) planes"),
+         (make_cube(), np.zeros((120, 119)), Roi(10, 10),
+          DimensionMismatch, "does not match bands"),
+         (make_cube(), np.zeros((120, 120)), Roi(30, 10),
+          RoiOutOfBounds, "exceeds 120x120 image"),
+         (make_cube(), np.zeros((120, 120)), Roi(-1, 10),
+          RoiOutOfBounds, "negative ROI origin")],
+    )
+    def test_checks_and_messages_kept(self, cube, dark, roi, error, message):
+        with pytest.raises(error) as caught:
+            preprocess_cube(cube, dark, roi)
+        assert message in str(caught.value)

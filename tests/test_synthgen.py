@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from soilspec.preprocess import crop_roi, dark_correct
 from soilspec.synthgen import (
     DEFAULT_ENDMEMBERS,
     DEFAULT_ROI,
+    NOISE_PRESETS,
     EndmemberLibrary,
     MixtureSpec,
     default_benchmark,
@@ -124,6 +128,77 @@ class TestEndmembers:
         spectra[1, 4] = level
         with pytest.raises(MalformedHeader):
             EndmemberLibrary(spectra=spectra)
+
+
+def reference_planes(spec, endmembers, noise, seed):
+    """The allocating form of the cube formula, one temporary per step."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    base = endmembers.mix(np.asarray(spec.weights))
+    block_noise = rng.normal(0.0, noise.block_texture_std, (12, 12))
+    block_pixels = np.kron(block_noise, np.ones((10, 10)))
+    signal = base[:, np.newaxis, np.newaxis] + block_pixels[np.newaxis, :, :]
+    dark_offsets = rng.normal(noise.dark_mean, noise.dark_std, (N_BANDS, 120, 120))
+    shot = rng.standard_normal((N_BANDS, 120, 120))
+    pixels = signal + dark_offsets + noise.shot_scale * signal * shot
+    return np.clip(np.rint(pixels), 0, MAX_INTENSITY).astype(np.uint16)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123, 2**40 + 5])
+@pytest.mark.parametrize("shape", [(1,), (5, 7), (12, 12), (N_BANDS, 120, 120)])
+@pytest.mark.parametrize("mean, std", [(48.0, 6.0), (48.0, 12.0), (0.0, 0.0), (-3.5, 0.1)])
+def test_scaled_standard_normals_are_normal_draws(seed, shape, mean, std):
+    # rng.normal(mean, std) computes mean + std * z per element from the
+    # same normals: the scaled in-place fill gives the same bits and leaves
+    # the generator in the same state
+    expected_rng = np.random.Generator(np.random.PCG64(seed))
+    expected = expected_rng.normal(mean, std, shape)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = np.empty(shape)
+    rng.standard_normal(out=out)
+    out *= std
+    out += mean
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+class TestScratchSynthesis:
+    SPECS = [MixtureSpec(w, 1, "train")
+             for w in ((0.2, 0.3, 0.5), (1.0, 0.0, 0.0), (0.05, 0.9, 0.05))]
+
+    @pytest.mark.parametrize("preset", sorted(NOISE_PRESETS))
+    def test_cubes_equal_the_allocating_formula(self, preset):
+        noise = noise_preset(preset, seed=4)
+        for seed, spec in enumerate(self.SPECS * 2, 300):
+            cube, _, _, _ = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, seed)
+            expected = reference_planes(spec, DEFAULT_ENDMEMBERS, noise, seed)
+            assert np.array_equal(cube.planes, expected)
+
+    def test_returned_cube_is_not_the_scratch(self):
+        noise = noise_preset("stress", seed=1)
+        first, _, _, _ = synthesize_cube(self.SPECS[0], DEFAULT_ENDMEMBERS, noise, 9)
+        kept = first.planes.copy()
+        synthesize_cube(self.SPECS[1], DEFAULT_ENDMEMBERS, noise, 10)
+        assert np.array_equal(first.planes, kept)
+
+    def test_threads_keep_their_own_scratch(self):
+        # more workers than cores and a short switch interval: a buffer
+        # shared between threads would mix two cubes
+        noise = noise_preset("bench", seed=2)
+        jobs = [(self.SPECS[i % 3], 500 + i) for i in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                cubes = list(pool.map(
+                    lambda job: synthesize_cube(job[0], DEFAULT_ENDMEMBERS, noise,
+                                                job[1])[0],
+                    jobs,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        for cube, (spec, seed) in zip(cubes, jobs):
+            expected = reference_planes(spec, DEFAULT_ENDMEMBERS, noise, seed)
+            assert np.array_equal(cube.planes, expected)
 
 
 class TestSynthesizeCube:
