@@ -38,6 +38,7 @@ from .errors import (
     SumViolation,
     TruncatedPayload,
 )
+from .triangle import classify_percentages
 
 MAGIC = b"MSC1"
 _HEADER = struct.Struct("<4sHHH")
@@ -49,12 +50,19 @@ OBSERVATION_HEADER = (
 )
 
 
-def _pack(wavelengths: tuple[int, ...], planes: np.ndarray) -> bytes:
+def _write(path: str | Path, wavelengths: tuple[int, ...], planes: np.ndarray) -> None:
+    """Write the header, the wavelength table and the planes straight to
+    the file; a native little-endian C-contiguous cube is written without
+    a copy."""
     bands, height, width = planes.shape
-    parts = [_HEADER.pack(MAGIC, bands, width, height)]
-    parts.append(np.asarray(wavelengths, dtype="<u2").tobytes())
-    parts.append(np.ascontiguousarray(planes, dtype="<u2").tobytes())
-    return b"".join(parts)
+    payload = np.ascontiguousarray(planes, dtype="<u2")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, bands, width, height))
+            fh.write(np.asarray(wavelengths, dtype="<u2"))
+            fh.write(payload)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _unpack(path: Path) -> tuple[tuple[int, ...], np.ndarray]:
@@ -92,10 +100,7 @@ def _unpack(path: Path) -> tuple[tuple[int, ...], np.ndarray]:
 
 def write_cube(cube: SpectralCube, path: str | Path) -> None:
     """Write a 13-band cube; identical cubes produce identical bytes."""
-    try:
-        Path(path).write_bytes(_pack(cube.wavelengths_nm, cube.planes))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write(path, cube.wavelengths_nm, cube.planes)
 
 
 def read_cube(path: str | Path) -> SpectralCube:
@@ -115,10 +120,7 @@ def read_cube(path: str | Path) -> SpectralCube:
 
 def write_dark_frame(dark: DarkFrame, path: str | Path) -> None:
     """Write a dark frame as a 1-band MSC1 container with wavelength 0."""
-    try:
-        Path(path).write_bytes(_pack((0,), dark.plane[np.newaxis]))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write(path, (0,), dark.plane[np.newaxis])
 
 
 def read_dark_frame(path: str | Path) -> DarkFrame:
@@ -201,8 +203,9 @@ def _reject_first(path: Path, bad: np.ndarray, error: type, what: str) -> None:
 def read_observation_csv(path: str | Path) -> ObservationTable:
     """Read an observation table, rejecting non-numeric or non-finite cells,
     unknown texture names, block indices off the grid, compositions off the
-    100% simplex and repeated (specimen, block) pairs, each with the file
-    and 1-based line. A table with no rows is rejected too."""
+    100% simplex, textures other than the triangle's for the composition and
+    repeated (specimen, block) pairs, each with the file and 1-based line. A
+    table with no rows is rejected too."""
     path = Path(path)
     rows = read_csv_rows(path, OBSERVATION_HEADER, "observation")
     if not rows:
@@ -236,6 +239,8 @@ def read_observation_csv(path: str | Path) -> ObservationTable:
     clay, silt, sand = compositions.T
     _reject_first(path, np.abs(clay + silt + sand - 100.0) > COMPOSITION_TOL,
                   SumViolation, "composition does not sum to 100")
+    _reject_first(path, classify_percentages(clay, silt, sand) != texture_codes,
+                  MalformedHeader, "texture is not the triangle's for the composition")
     _, specimen = np.unique(specimen_ids.astype(str), return_inverse=True)
     _, first = np.unique(np.column_stack([specimen, blocks]), axis=0, return_index=True)
     repeated = np.ones(n, dtype=bool)

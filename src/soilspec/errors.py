@@ -98,7 +98,7 @@ class EmptyTrainingSet(SoilspecError):
 
 
 class LabelOutOfRange(SoilspecError):
-    """A class label lies outside [0, n_classes)."""
+    """A class label is not a whole number in [0, n_classes)."""
 
 
 class KTooLarge(SoilspecError):

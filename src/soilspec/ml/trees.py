@@ -278,10 +278,16 @@ class _DecisionTree:
 
 
 def _as_labels(labels) -> np.ndarray:
-    """int64 labels; float labels must be finite to convert."""
+    """int64 labels; float labels must be finite whole numbers to convert."""
     labels = np.asarray(labels)
     if labels.dtype.kind == "f":
         check_finite(labels.reshape(labels.shape[0], -1), "label")
+        fractional = labels != np.trunc(labels)
+        if fractional.any():
+            row = int(fractional.argmax())
+            raise LabelOutOfRange(
+                f"label {labels[row]} at row {row} is not a whole number"
+            )
     return labels.astype(np.int64, copy=False)
 
 

@@ -7,14 +7,18 @@ float64 from the dark correction onward.
 
 :func:`preprocess_cube` crops the raw planes and the dark frame first and
 casts only the window to float64; the correction is per pixel, so this
-gives the bits of correcting first. It then corrects, measures and
-normalizes each band in place in that one array, with the operations of
-:func:`dark_correct`, :func:`roi_stats` and :func:`normalize_contrast` in
-their order.
+gives the bits of correcting first. It then works on the whole
+``(bands, pixels)`` array at once: axis-1 reductions give every band's
+mean and std, and one in-place pass maps every band with ``(bands, 1)``
+mean and std columns. :func:`roi_stats` and :func:`normalize_contrast` run
+the same two helpers on one band. Each reduction is numpy's pairwise sum
+over one band's pixels in row-major order, so the stats carry the bits of
+``plane.mean()`` and ``plane.std()`` on a contiguous plane.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,7 @@ from .core import ROI_SIDE, DarkFrame, Roi, SpectralCube
 from .errors import DimensionMismatch
 
 ROI_PIXELS = ROI_SIDE * ROI_SIDE
+_SCRATCH = threading.local()
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ def _dark_plane(planes: np.ndarray, dark: DarkFrame | np.ndarray) -> np.ndarray:
 
 
 def _abs_difference(planes: np.ndarray, dark_plane: np.ndarray) -> np.ndarray:
-    out = planes.astype(np.float64)
+    out = planes.astype(np.float64, order="C")
     out -= dark_plane.astype(np.float64)
     return np.abs(out, out=out)
 
@@ -95,31 +100,61 @@ def crop_roi(cube: SpectralCube | np.ndarray, roi: Roi) -> np.ndarray:
     return planes[(slice(None), *_window(roi))].copy()
 
 
+def _deviation_scratch(shape: tuple[int, int]) -> np.ndarray:
+    """This thread's float64 buffer for ``x - mean``, viewed as `shape`.
+
+    Every use overwrites it; reusing it spares each cube fresh pages for a
+    1 MB temporary.
+    """
+    size = shape[0] * shape[1]
+    buffer = getattr(_SCRATCH, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _SCRATCH.buffer = np.empty(size)
+    return buffer[:size].reshape(shape)
+
+
+def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Population mean and std of each row of a C-contiguous float64
+    ``(bands, pixels)`` array, with the IEEE operations of ``np.std``."""
+    n = rows.shape[1]
+    mean = np.add.reduce(rows, axis=1)
+    mean /= n
+    deviation = _deviation_scratch(rows.shape)
+    np.subtract(rows, mean[:, np.newaxis], out=deviation)
+    np.square(deviation, out=deviation)
+    std = np.add.reduce(deviation, axis=1)
+    std /= n
+    return mean, np.sqrt(std, out=std)
+
+
+def _normalize_rows(
+    rows: np.ndarray, mean: np.ndarray, std: np.ndarray, params: NormalizationParams
+) -> None:
+    """The tanh map of :func:`normalize_contrast`, in place on every row of a
+    float64 ``(bands, pixels)`` array, row i with mean[i] and std[i]; a row
+    with std 0 becomes its mean."""
+    mu, sigma = mean[:, np.newaxis], std[:, np.newaxis]
+    rows -= mu
+    rows *= params.kappa
+    np.tanh(rows, out=rows)
+    rows += 1.0
+    rows *= 2.0 * sigma
+    rows /= 2.0
+    rows += mu - sigma
+    # Guard the closed range against last-ulp rounding of the affine map.
+    np.clip(rows, mu - sigma, mu + sigma, out=rows)
+    flat = np.flatnonzero(std == 0.0)
+    if flat.size:
+        rows[flat] = mean[flat, np.newaxis]
+
+
 def roi_stats(plane: np.ndarray) -> BandStats:
     """Population mean and standard deviation over the 10,000 ROI pixels."""
     plane = np.asarray(plane, dtype=np.float64)
     if plane.size != ROI_PIXELS:
         raise DimensionMismatch(f"expected {ROI_PIXELS} pixels, got {plane.size}")
-    return BandStats(mean=float(plane.mean()), std=float(plane.std()))
-
-
-def _normalize_in_place(
-    plane: np.ndarray, stats: BandStats, params: NormalizationParams
-) -> np.ndarray:
-    """normalize_contrast's arithmetic, step for step, on a float64 plane."""
-    mu, sigma = stats.mean, stats.std
-    if sigma == 0.0:
-        plane.fill(mu)
-        return plane
-    plane -= mu
-    plane *= params.kappa
-    np.tanh(plane, out=plane)
-    plane += 1.0
-    plane *= 2.0 * sigma
-    plane /= 2.0
-    plane += mu - sigma
-    # Guard the closed range against last-ulp rounding of the affine map.
-    return np.clip(plane, mu - sigma, mu + sigma, out=plane)
+    mean, std = _row_stats(np.ascontiguousarray(plane).reshape(1, ROI_PIXELS))
+    return BandStats(mean=float(mean[0]), std=float(std[0]))
 
 
 def normalize_contrast(
@@ -133,7 +168,11 @@ def normalize_contrast(
     [mean - std, mean + std]. A constant band (std = 0) maps to the constant
     mean plane, the continuous limit of the transform.
     """
-    return _normalize_in_place(np.array(plane, dtype=np.float64), stats, params)
+    # C order makes the (1, pixels) reshape a view of `out` for any layout.
+    out = np.array(plane, dtype=np.float64, order="C")
+    _normalize_rows(out.reshape(1, -1), np.array([stats.mean]), np.array([stats.std]),
+                    params)
+    return out
 
 
 def preprocess_cube(
@@ -144,17 +183,16 @@ def preprocess_cube(
 ) -> PreprocessedRoi:
     """Dark-correct, crop, then normalize each band with its own ROI stats.
 
-    Crops before the float64 cast, then works in place on that one array
-    (see the module docstring).
+    Crops before the float64 cast, then measures and maps all bands at once
+    in that one array (see the module docstring).
     """
     planes = _as_planes(cube)
     dark_plane = _dark_plane(planes, dark)
     roi.check_fits(planes.shape[1], planes.shape[2])
     window = _window(roi)
     out = _abs_difference(planes[(slice(None), *window)], dark_plane[window])
-    stats = []
-    for band in out:
-        band_stats = roi_stats(band)
-        _normalize_in_place(band, band_stats, params)
-        stats.append(band_stats)
-    return PreprocessedRoi(planes=out, stats=tuple(stats))
+    rows = out.reshape(out.shape[0], -1)
+    mean, std = _row_stats(rows)
+    _normalize_rows(rows, mean, std, params)
+    stats = tuple(map(BandStats, mean.tolist(), std.tolist()))
+    return PreprocessedRoi(planes=out, stats=stats)

@@ -350,6 +350,26 @@ class TestEndToEnd:
         assert code == 1
         assert "train.csv: line 7" in err
 
+    @pytest.mark.parametrize("name, line", [("train.csv", 9), ("validation.csv", 120)])
+    def test_texture_off_the_triangle_names_the_line(self, tiny_run, tmp_path, capsys,
+                                                     name, line):
+        base, data, features = tiny_run
+        for csv_name in ("train.csv", "validation.csv"):
+            lines = (features / csv_name).read_text().splitlines()
+            if csv_name == name:
+                fields = lines[line - 1].split(",")
+                fields[-1] = "Silt" if fields[-1] != "Silt" else "Clay"
+                lines[line - 1] = ",".join(fields)
+            (tmp_path / csv_name).write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out",
+             str(tmp_path / "results"), "--models", "knn", "--strategies", "1",
+             "--external-validation"],
+            capsys,
+        )
+        assert code == 1
+        assert f"{name}: line {line}: texture is not the triangle's" in err
+
     def test_repeat_evaluate_identical_results(self, tiny_run, capsys):
         base, data, features = tiny_run
         outputs = []

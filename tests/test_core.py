@@ -1,4 +1,5 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -28,12 +29,14 @@ from soilspec.cubeio import (
 from soilspec.errors import (
     BandCountMismatch,
     IntensityOverflow,
+    IoFailure,
     MalformedHeader,
     NegativeComponent,
     NumericalFailure,
     SumViolation,
     TruncatedPayload,
 )
+from soilspec.triangle import classify_percentages
 
 
 def make_cube(seed=0, height=5, width=7):
@@ -189,10 +192,70 @@ class TestTextureClass:
             TextureClass.from_name("Mud")
 
 
+def msc1_reference(wavelengths, planes):
+    """MSC1 bytes built by struct and tobytes, independent of the writer."""
+    bands, height, width = planes.shape
+    return (struct.pack("<4sHHH", b"MSC1", bands, width, height)
+            + struct.pack(f"<{bands}H", *wavelengths)
+            + np.asarray(planes).astype("<u2").tobytes(order="C"))
+
+
+class TestMsc1Bytes:
+    """The writer's bytes against a struct/tobytes reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), height=st.integers(1, 40),
+           width=st.integers(1, 40))
+    def test_random_shapes(self, tmp_path_factory, seed, height, width):
+        cube = make_cube(seed=seed, height=height, width=width)
+        path = tmp_path_factory.mktemp("msc") / "c.msc"
+        write_cube(cube, path)
+        assert path.read_bytes() == msc1_reference(BAND_WAVELENGTHS_NM, cube.planes)
+
+    def test_dark_frame_is_one_band(self, tmp_path):
+        plane = np.random.default_rng(4).integers(0, 1024, (9, 11), dtype=np.uint16)
+        write_dark_frame(DarkFrame(plane=plane), tmp_path / "dark.msc")
+        assert (tmp_path / "dark.msc").read_bytes() == msc1_reference(
+            (0,), plane[np.newaxis])
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_non_contiguous_planes(self, tmp_path, layout):
+        planes = make_cube(seed=5, height=12, width=15).planes
+        if layout == "strided":
+            planes = planes[:, ::2, 1::3]
+        else:
+            planes = np.asfortranarray(planes)
+        assert not planes.flags.c_contiguous
+        write_cube(SpectralCube(planes=planes), tmp_path / "c.msc")
+        assert (tmp_path / "c.msc").read_bytes() == msc1_reference(
+            BAND_WAVELENGTHS_NM, planes)
+
+    def test_big_endian_planes(self, tmp_path):
+        # SpectralCube casts to native uint16, so the writer's own byte
+        # order conversion is reached only through a raw array
+        planes = make_cube(seed=6, height=4, width=3).planes.astype(">u2")
+        cubeio._write(tmp_path / "c.msc", BAND_WAVELENGTHS_NM, planes)
+        assert (tmp_path / "c.msc").read_bytes() == msc1_reference(
+            BAND_WAVELENGTHS_NM, planes)
+
+    def test_unwritable_path_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure, match="cannot write"):
+            write_cube(make_cube(), tmp_path / "missing" / "c.msc")
+
+
+# one composition per USDA class, (30, 30, 40) ClayLoam first; specimen i
+# takes entry i mod 12
+SPECIMEN_COMPOSITIONS = np.array([
+    [30, 30, 40], [5, 5, 90], [5, 10, 85], [5, 20, 75], [10, 40, 50], [5, 50, 45],
+    [5, 80, 15], [20, 5, 75], [30, 50, 20], [35, 5, 60], [40, 40, 20], [40, 15, 45],
+], dtype=np.float64)
+
+
 def make_table(n_specimens=2, seed=0):
+    """Specimens of 100 blocks each, texture codes the triangle's."""
     rng = np.random.default_rng(seed)
     n = n_specimens * 100
-    comps = np.tile([30.0, 30.0, 40.0], (n, 1))
+    comps = np.repeat(SPECIMEN_COMPOSITIONS[np.arange(n_specimens) % 12], 100, axis=0)
     return ObservationTable(
         specimen_ids=np.repeat(
             [f"s{i}" for i in range(n_specimens)], 100
@@ -201,7 +264,7 @@ def make_table(n_specimens=2, seed=0):
         block_cols=np.tile(np.tile(np.arange(1, 11), 10), n_specimens),
         features=rng.uniform(0, 1023, (n, N_BANDS)),
         compositions=comps,
-        texture_codes=rng.integers(0, 12, n),
+        texture_codes=classify_percentages(*comps.T),
     )
 
 
@@ -316,6 +379,28 @@ class TestObservationCsv:
         lines[4] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         assert read_observation_csv(path).compositions[3, 2] == 40.0000001
+
+    @pytest.mark.parametrize("texture", ["Clay", "Loam", "SiltyClayLoam"])
+    def test_texture_off_the_triangle_names_file_and_line(self, tmp_path, texture):
+        # (30, 30, 40) is ClayLoam; the first disagreeing row is named
+        path = tmp_path / "obs.csv"
+        write_observation_csv(make_table(n_specimens=3), path)
+        lines = path.read_text().splitlines()
+        for line in (5, 150, 260):
+            fields = lines[line - 1].split(",")
+            fields[OBSERVATION_HEADER.index("texture")] = texture
+            lines[line - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedHeader,
+                           match=r"obs\.csv: line 5: texture is not the triangle's"):
+            read_observation_csv(path)
+
+    def test_every_class_round_trips(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        table = make_table(n_specimens=12)
+        write_observation_csv(table, path)
+        codes = read_observation_csv(path).texture_codes
+        assert sorted(set(codes.tolist())) == list(range(12))
 
     def test_repeated_block_names_file_and_line(self, tmp_path):
         # the same block position in another specimen is fine; a second

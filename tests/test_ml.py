@@ -513,6 +513,39 @@ class TestLabelRange:
         with pytest.raises(LabelOutOfRange, match=rf"label {bad} at row {row} "):
             model().fit(X, y)
 
+    @pytest.mark.parametrize(
+        "model",
+        [DecisionTreeClassifier, lambda: RandomForestClassifier(n_trees=2)],
+        ids=["tree", "forest"],
+    )
+    def test_fractional_float_label_names_the_row(self, model):
+        # the int64 cast alone would fit these as [0, 0, 1, 1, 2, 2]
+        with pytest.raises(LabelOutOfRange,
+                           match=r"label 0\.5 at row 1 is not a whole number"):
+            model().fit(np.arange(6.0)[:, np.newaxis], [0, 0.5, 1.7, 1, 2.9, 2])
+
+    @pytest.mark.parametrize(
+        "model",
+        [DecisionTreeClassifier, lambda: RandomForestClassifier(n_trees=2)],
+        ids=["tree", "forest"],
+    )
+    def test_whole_float_labels_fit_as_integers(self, model):
+        X = np.arange(6.0)[:, np.newaxis]
+        y = np.array([0, 0, 1, 1, 2, 2])
+        floats = model().fit(X, y.astype(np.float64)).predict(X)
+        assert np.array_equal(floats, model().fit(X, y).predict(X))
+
+    @pytest.mark.parametrize(
+        "model",
+        [DecisionTreeRegressor, lambda: RandomForestRegressor(n_trees=2)],
+        ids=["tree", "forest"],
+    )
+    def test_regressors_keep_fractional_targets(self, model):
+        X = np.arange(6.0)[:, np.newaxis]
+        y = np.array([0, 0.5, 1.7, 1, 2.9, 2])
+        predicted = model().fit(X, y).predict(X)
+        assert not np.array_equal(predicted, np.trunc(predicted))
+
     def test_negative_label_without_class_count(self):
         with pytest.raises(LabelOutOfRange, match="label -2 at row 1 "):
             DecisionTreeClassifier().fit(np.zeros((3, 1)), [0, -2, 1])

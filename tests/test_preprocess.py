@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -247,6 +249,60 @@ class TestInPlacePreprocess:
         assert out.stats == stats
         assert out.stats[4].std == 0.0
 
+    @pytest.mark.parametrize("flat_bands", [(0,), (6,), (12,), (0, 6, 12)])
+    @pytest.mark.parametrize(
+        "roi", [Roi(0, 0), Roi(20, 20), Roi(0, 20), Roi(20, 0)],
+        ids=["top-left", "bottom-right", "bottom-left", "top-right"],
+    )
+    def test_flat_and_saturated_bands_at_the_frame_edges(self, flat_bands, roi):
+        # a flat band takes the sigma == 0 fill; band 3 is two far-apart
+        # levels, so kappa * (x - mean) drives tanh to +-1 exactly
+        rng = np.random.default_rng(20)
+        dark = DarkFrame(plane=rng.integers(0, 90, (120, 120), dtype=np.uint16))
+        planes = make_cube(seed=21).planes.copy()
+        for band in flat_bands:
+            planes[band] = dark.plane + 40 * band + 5
+        planes[3] = dark.plane
+        planes[3, ::2] = dark.plane[::2] + 900
+        cube = SpectralCube(planes=planes)
+        kappa = 0.5
+        out = preprocess_cube(cube, dark, roi, NormalizationParams(kappa=kappa))
+        expected, stats = reference_preprocess(cube, dark, roi, kappa)
+        assert np.array_equal(out.planes.view(np.uint64), expected.view(np.uint64))
+        assert out.stats == stats
+        assert [b for b, s in enumerate(out.stats) if s.std == 0.0] == list(flat_bands)
+        saturated = out.planes[3]
+        mu, sigma = out.stats[3].mean, out.stats[3].std
+        assert set(np.unique(saturated).tolist()) == {mu - sigma, mu + sigma}
+
+    def test_threads_keep_their_own_scratch(self):
+        # more workers than cores and a short switch interval: a deviation
+        # buffer shared between threads would mix two cubes' stats
+        dark = DarkFrame(plane=np.random.default_rng(22).integers(
+            0, 90, (120, 120), dtype=np.uint16))
+        cubes = [make_cube(seed=seed) for seed in range(40, 64)]
+        expected = [preprocess_cube(cube, dark, Roi(10, 10)) for cube in cubes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(
+                    lambda cube: preprocess_cube(cube, dark, Roi(10, 10)), cubes * 4))
+        finally:
+            sys.setswitchinterval(interval)
+        for out, reference in zip(got, expected * 4):
+            assert out.stats == reference.stats
+            assert np.array_equal(out.planes, reference.planes)
+
+    def test_fortran_ordered_cube_gives_the_same_bits(self):
+        dark = DarkFrame(plane=np.zeros((120, 120), dtype=np.uint16))
+        cube = make_cube(seed=23)
+        fortran = SpectralCube(planes=np.asfortranarray(cube.planes))
+        out = preprocess_cube(fortran, dark, Roi(10, 10))
+        expected = preprocess_cube(cube, dark, Roi(10, 10))
+        assert out.stats == expected.stats
+        assert np.array_equal(out.planes.view(np.uint64), expected.planes.view(np.uint64))
+
     def test_normalize_contrast_leaves_its_input(self):
         plane = np.random.default_rng(3).uniform(0, 1023, (100, 100))
         kept = plane.copy()
@@ -256,6 +312,52 @@ class TestInPlacePreprocess:
         mu, sigma = stats.mean, stats.std
         mapped = (mu - sigma) + 2.0 * sigma * (np.tanh(0.03 * (plane - mu)) + 1.0) / 2.0
         assert np.array_equal(out, np.clip(mapped, mu - sigma, mu + sigma))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_roi_stats_bits_are_numpys(self, seed):
+        rng = np.random.default_rng(seed)
+        plane = rng.uniform(0, 1023, (100, 100)) * 10.0 ** rng.integers(-3, 6)
+        stats = roi_stats(plane)
+        assert stats == BandStats(float(plane.mean()), float(plane.std()))
+        # a strided plane is measured in row-major order
+        wide = np.repeat(plane, 2, axis=1)[:, ::2]
+        assert roi_stats(wide) == stats
+        transposed = plane.T
+        contiguous = np.ascontiguousarray(transposed)
+        assert roi_stats(transposed) == BandStats(
+            float(contiguous.mean()), float(contiguous.std()))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kappa", [0.03, 0.5, 40.0])
+    def test_normalize_contrast_bits_are_the_formula(self, seed, kappa):
+        rng = np.random.default_rng(seed + 30)
+        plane = rng.uniform(0, 1023, (100, 100))
+        stats = BandStats(float(rng.uniform(0, 1023)), float(rng.uniform(0.5, 300)))
+        out = normalize_contrast(plane, stats, NormalizationParams(kappa=kappa))
+        mu, sigma = stats.mean, stats.std
+        mapped = (mu - sigma) + 2.0 * sigma * (np.tanh(kappa * (plane - mu)) + 1.0) / 2.0
+        expected = np.clip(mapped, mu - sigma, mu + sigma)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("layout", ["transposed", "fortran", "strided"])
+    def test_normalize_contrast_maps_any_layout(self, layout):
+        rng = np.random.default_rng(37)
+        base = rng.uniform(0, 1023, (80, 125))
+        plane = {"transposed": base.T, "fortran": np.asfortranarray(base),
+                 "strided": np.repeat(base, 2, axis=1)[:, ::2]}[layout]
+        stats = BandStats(float(rng.uniform(0, 1023)), float(rng.uniform(0.5, 300)))
+        out = normalize_contrast(plane, stats, NormalizationParams(kappa=0.5))
+        mu, sigma = stats.mean, stats.std
+        mapped = (mu - sigma) + 2.0 * sigma * (np.tanh(0.5 * (plane - mu)) + 1.0) / 2.0
+        expected = np.clip(mapped, mu - sigma, mu + sigma)
+        assert out.shape == plane.shape
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    def test_normalize_contrast_keeps_the_shape_and_fills_flat_stats(self):
+        plane = np.arange(12.0).reshape(3, 4)
+        plane[1, 2] = np.nan
+        out = normalize_contrast(plane, BandStats(5.0, 0.0), NormalizationParams())
+        assert out.shape == (3, 4) and np.all(out == 5.0)
 
     @pytest.mark.parametrize(
         "cube, dark, roi, error, message",

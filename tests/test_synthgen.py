@@ -6,7 +6,8 @@ import pytest
 
 from soilspec.core import MAX_INTENSITY, N_BANDS, validate_composition
 from soilspec.errors import MalformedHeader, TruncatedPayload
-from soilspec.preprocess import crop_roi, dark_correct
+from soilspec import synthgen
+from soilspec.preprocess import crop_roi, dark_correct, preprocess_cube
 from soilspec.synthgen import (
     DEFAULT_ENDMEMBERS,
     DEFAULT_ROI,
@@ -312,6 +313,43 @@ class TestExtractTables:
         victim.write_bytes(victim.read_bytes()[:-40])
         with pytest.raises(TruncatedPayload, match="train-02-01"):
             extract_tables(manifest)
+
+    def test_thread_count_leaves_tables_and_stats_unchanged(self, tmp_path,
+                                                           monkeypatch):
+        # each worker preprocesses in its own scratch buffer; a shared one
+        # would mix two cubes' deviations under a short switch interval
+        noise = noise_preset("stress", seed=9)
+        manifest = generate_dataset(
+            tiny_benchmark(n_train=4), DEFAULT_ENDMEMBERS, noise, tmp_path / "data"
+        )
+        stats = {}
+
+        def recording(cube, *args):
+            out = preprocess_cube(cube, *args)
+            stats[threads].append((cube.planes.tobytes(), out.stats))
+            return out
+
+        monkeypatch.setattr(synthgen, "preprocess_cube", recording)
+        tables = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 3):
+                stats[threads] = []
+                tables[threads] = extract_tables(manifest, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(stats[1]) == 10
+        for records in stats.values():  # workers finish in any order
+            records.sort(key=lambda record: record[0])
+        for threads in (2, 3):
+            assert stats[threads] == stats[1]
+            for role in ("train", "validation"):
+                got, expected = tables[threads][role], tables[1][role]
+                assert got.features.tobytes() == expected.features.tobytes()
+                assert got.compositions.tobytes() == expected.compositions.tobytes()
+                assert np.array_equal(got.texture_codes, expected.texture_codes)
+                assert list(got.specimen_ids) == list(expected.specimen_ids)
 
     def test_block_noise_visible_in_features(self, tmp_path):
         # block texture must survive preprocessing into feature variance
