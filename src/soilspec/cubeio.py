@@ -13,6 +13,7 @@ Writing is byte-deterministic: equal values produce equal files.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from pathlib import Path
 
@@ -182,17 +183,34 @@ def write_observation_csv(table: ObservationTable, path: str | Path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def read_csv_rows(path: Path, header: list[str], what: str) -> list[list[str]]:
-    """The rows after `header`, which the file must start with; a row's
-    1-based line is its index + 2."""
+def _read_text(path: Path) -> str:
+    """The file's text with its line ends as written; bytes that do not
+    decode fail as MalformedHeader naming the line."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != header:
-                raise MalformedHeader(f"{path}: unexpected {what} header")
-            return list(reader)
+            return fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise MalformedHeader(f"{path}: line {line}: not text: {exc}") from None
+
+
+def read_csv_rows(
+    path: Path, header: list[str], what: str, text: str | None = None
+) -> list[list[str]]:
+    """The rows after `header`, which the file must start with; a row's
+    1-based line is its index + 2. Pass `text` when the file is already
+    read."""
+    if text is None:
+        text = _read_text(path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        if next(reader, None) != header:
+            raise MalformedHeader(f"{path}: unexpected {what} header")
+        return list(reader)
+    except csv.Error as exc:
+        raise MalformedHeader(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _reject_first(path: Path, bad: np.ndarray, error: type, what: str) -> None:
@@ -200,14 +218,63 @@ def _reject_first(path: Path, bad: np.ndarray, error: type, what: str) -> None:
         raise error(f"{path}: line {np.flatnonzero(bad)[0] + 2}: {what}")
 
 
-def read_observation_csv(path: str | Path) -> ObservationTable:
-    """Read an observation table, rejecting non-numeric or non-finite cells,
-    unknown texture names, block indices off the grid, compositions off the
-    100% simplex, textures other than the triangle's for the composition and
-    repeated (specimen, block) pairs, each with the file and 1-based line. A
-    table with no rows is rejected too."""
-    path = Path(path)
-    rows = read_csv_rows(path, OBSERVATION_HEADER, "observation")
+_TEXTURE_CODES = {name: code for code, name in enumerate(TEXTURE_NAMES)}
+# One observation row as np.loadtxt parses it.
+_ROW = np.dtype([
+    ("id", object),
+    ("blocks", np.int64, (2,)),
+    ("features", np.float64, (N_BANDS,)),
+    ("compositions", np.float64, (3,)),
+    ("texture", object),
+])
+
+
+def _parse_plain(text: str):
+    """The table's columns from one ``np.loadtxt`` pass, or None.
+
+    Only ASCII text without a quote character, a lone CR or a blank line is
+    parsed here: there csv's records are the lines and its fields the pieces
+    between commas, and loadtxt parses what ``int()`` and ``float()`` accept
+    to the same values and rejects the rest. (It misreads non-ASCII digits
+    in integer cells, and reads the separators \\x1c-\\x1f as blanks, so
+    those stay out.) Anything else returns None, so the per-line parse reads
+    it or names the bad line.
+    """
+    header, _, body = text.partition("\n")
+    if (not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f')
+            or text.count("\r") != text.count("\r\n")
+            or header.removesuffix("\r") != ",".join(OBSERVATION_HEADER)):
+        return None
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # np.loadtxt would skip a blank line, which csv reads as a row
+    if (not lines or "" in lines or "\r" in lines
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",",
+                           comments=None, ndmin=1)
+    except ValueError:
+        return None
+    codes = np.array([_TEXTURE_CODES.get(name, -1) for name in table["texture"]],
+                     dtype=np.int64)
+    if (codes < 0).any():
+        return None
+    blocks = table["blocks"]
+    return (
+        table["id"].copy(),
+        blocks[:, 0].copy(),
+        blocks[:, 1].copy(),
+        np.ascontiguousarray(table["features"]),
+        np.ascontiguousarray(table["compositions"]),
+        codes,
+    )
+
+
+def _parse_rows(path: Path, text: str):
+    """The table's columns cell by cell, naming the first bad line."""
+    rows = read_csv_rows(path, OBSERVATION_HEADER, "observation", text)
     if not rows:
         raise MalformedHeader(f"{path}: no observation rows after the header")
     n = len(rows)
@@ -229,6 +296,20 @@ def read_observation_csv(path: str | Path) -> ObservationTable:
             texture_codes[i] = TextureClass.from_name(row[6 + N_BANDS]).index
         except (ValueError, OverflowError) as exc:
             raise MalformedHeader(f"{path}: line {i + 2}: {exc}") from None
+    return specimen_ids, block_rows, block_cols, features, compositions, texture_codes
+
+
+def read_observation_csv(path: str | Path) -> ObservationTable:
+    """Read an observation table, rejecting non-numeric or non-finite cells,
+    unknown texture names, block indices off the grid, compositions off the
+    100% simplex, textures other than the triangle's for the composition and
+    repeated (specimen, block) pairs, each with the file and 1-based line. A
+    table with no rows is rejected too."""
+    path = Path(path)
+    text = _read_text(path)
+    (specimen_ids, block_rows, block_cols, features, compositions,
+     texture_codes) = _parse_plain(text) or _parse_rows(path, text)
+    n = len(specimen_ids)
     finite = np.isfinite(np.column_stack([features, compositions])).all(axis=1)
     _reject_first(path, ~finite, NumericalFailure, "non-finite feature or composition")
     blocks = np.column_stack([block_rows, block_cols])
@@ -241,7 +322,8 @@ def read_observation_csv(path: str | Path) -> ObservationTable:
                   SumViolation, "composition does not sum to 100")
     _reject_first(path, classify_percentages(clay, silt, sand) != texture_codes,
                   MalformedHeader, "texture is not the triangle's for the composition")
-    _, specimen = np.unique(specimen_ids.astype(str), return_inverse=True)
+    # compared as Python strings: a "U" array would drop trailing NULs
+    _, specimen = np.unique(specimen_ids, return_inverse=True)
     _, first = np.unique(np.column_stack([specimen, blocks]), axis=0, return_index=True)
     repeated = np.ones(n, dtype=bool)
     repeated[first] = False  # every row but the first of its (specimen, block)

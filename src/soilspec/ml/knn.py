@@ -12,8 +12,15 @@ import hashlib
 
 import numpy as np
 
-from ..errors import EmptyTrainingSet, KTooLarge, NotFitted
-from .neighbors import build_tree, check_finite, k_nearest
+from ..errors import DimensionMismatch, EmptyTrainingSet, KTooLarge, NotFitted
+from .neighbors import (
+    as_labels,
+    build_tree,
+    check_finite,
+    check_labels,
+    check_lengths,
+    k_nearest,
+)
 
 
 class _KnnBase:
@@ -31,9 +38,10 @@ class _KnnBase:
             raise EmptyTrainingSet("KNN fitted with no training rows")
         if self.k > features.shape[0]:
             raise KTooLarge(f"k={self.k} exceeds {features.shape[0]} training rows")
+        check_lengths(features, targets, "KNN training")
         check_finite(features, "KNN training")
         self.train_x = features
-        self.train_y = np.asarray(targets)
+        self.train_y = targets
         self._tree = build_tree(features)
         return self
 
@@ -42,6 +50,11 @@ class _KnnBase:
         if self.train_x is None:
             raise NotFitted("KNN predict before fit")
         queries = np.ascontiguousarray(queries, dtype=np.float64)
+        dim = self.train_x.shape[1]
+        if queries.ndim != 2 or queries.shape[1] != dim:
+            raise DimensionMismatch(
+                f"KNN queries of shape {queries.shape} need {dim} columns"
+            )
         check_finite(queries, "KNN query")
         return k_nearest(self._tree, self.k, queries, workers=self.n_jobs)
 
@@ -60,8 +73,11 @@ class KnnClassifier(_KnnBase):
     """Majority vote over the k nearest neighbors (integer class labels)."""
 
     def fit(self, features: np.ndarray, labels: np.ndarray):
-        super().fit(features, np.asarray(labels, dtype=np.int64))
-        self._n_classes = int(self.train_y.max()) + 1 if self.train_y.size else 0
+        labels = as_labels(labels)
+        n_classes = int(labels.max(initial=-1)) + 1
+        check_labels(labels, n_classes)  # only a negative label can fail
+        super().fit(features, labels)
+        self._n_classes = n_classes
         return self
 
     def predict(self, queries: np.ndarray) -> np.ndarray:

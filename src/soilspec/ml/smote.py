@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ClassTooSmall
 from ..seeding import make_rng
-from .neighbors import build_tree, check_finite, k_nearest
+from .neighbors import as_labels, build_tree, check_finite, check_lengths, k_nearest
 
 
 def smote(
@@ -30,7 +30,8 @@ def smote(
     balanced input comes back identical. Every class needs >= 2 samples.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
+    check_lengths(features, labels, "SMOTE input")
     check_finite(features, "SMOTE feature")
     classes, counts = np.unique(labels, return_counts=True)
     small = classes[counts < 2]

@@ -30,9 +30,9 @@ import hashlib
 
 import numpy as np
 
-from ..errors import EmptyTrainingSet, LabelOutOfRange, NotFitted
+from ..errors import EmptyTrainingSet, NotFitted
 from ..seeding import derive_seed
-from .neighbors import check_finite
+from .neighbors import as_labels, check_finite, check_labels, check_lengths
 
 
 class _Tree:
@@ -102,7 +102,7 @@ def build(features, targets, n_classes, max_depth, min_leaf, max_features, rng):
         except ValueError:
             payload = None
         if payload is None or payload.size != n_classes:
-            _check_labels(targets, n_classes)
+            check_labels(targets, n_classes)
         # uint8 keys turn the per-feature stable label sort into a radix sort
         keys = targets.astype(np.uint8) if n_classes <= 256 else targets
         pure = count_nonzero(payload) == 1
@@ -262,6 +262,7 @@ class _DecisionTree:
         features = np.ascontiguousarray(features, dtype=np.float64)
         if features.shape[0] == 0:
             raise EmptyTrainingSet("tree fitted with no training rows")
+        check_lengths(features, targets, "tree training")
         self._tree = build(features, targets, n_classes, self.max_depth,
                            self.min_leaf, max_features, rng)
         return self
@@ -277,30 +278,6 @@ class _DecisionTree:
         return h.hexdigest()
 
 
-def _as_labels(labels) -> np.ndarray:
-    """int64 labels; float labels must be finite whole numbers to convert."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind == "f":
-        check_finite(labels.reshape(labels.shape[0], -1), "label")
-        fractional = labels != np.trunc(labels)
-        if fractional.any():
-            row = int(fractional.argmax())
-            raise LabelOutOfRange(
-                f"label {labels[row]} at row {row} is not a whole number"
-            )
-    return labels.astype(np.int64, copy=False)
-
-
-def _check_labels(labels: np.ndarray, n_classes: int) -> None:
-    """Raise LabelOutOfRange naming the first label outside [0, n_classes)."""
-    bad = (labels < 0) | (labels >= n_classes)
-    if bad.any():
-        row = int(bad.argmax())
-        raise LabelOutOfRange(
-            f"label {labels[row]} at row {row} is outside [0, {n_classes})"
-        )
-
-
 class DecisionTreeClassifier(_DecisionTree):
     """Greedy Gini CART classifier over integer class labels."""
 
@@ -310,7 +287,7 @@ class DecisionTreeClassifier(_DecisionTree):
         self.n_classes = n_classes
 
     def fit(self, features, labels, rng=None, max_features=None):
-        labels = _as_labels(labels)
+        labels = as_labels(labels)
         n_classes = self.n_classes or int(labels.max(initial=-1)) + 1
         return self._grow(features, labels, n_classes, rng, max_features)
 
@@ -372,6 +349,7 @@ class _ForestBase:
         targets = np.asarray(targets)
         if features.shape[0] == 0:
             raise EmptyTrainingSet("forest fitted with no training rows")
+        check_lengths(features, targets, "forest training")
         # Once per forest, naming rows of the caller's data; each tree's own
         # check is then only a look at its root sort and root mean.
         check_finite(features, "forest feature")
@@ -415,9 +393,9 @@ class RandomForestClassifier(_ForestBase):
         )
 
     def fit(self, features, labels):
-        labels = _as_labels(labels)
+        labels = as_labels(labels)
         self._classes = self.n_classes or int(labels.max(initial=-1)) + 1
-        _check_labels(labels, self._classes)
+        check_labels(labels, self._classes)
         return super().fit(features, labels)
 
     def predict(self, features) -> np.ndarray:

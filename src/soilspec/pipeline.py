@@ -108,11 +108,11 @@ def make_folds(
                 assignment[order[start : start + size]] = fold
                 start += size
     elif granularity == "specimen":
-        ids, first_pos = np.unique(table.specimen_ids.astype(str), return_index=True)
-        ids = ids[np.argsort(first_pos, kind="stable")]  # first-appearance order
-        order = rng.permutation(ids.size)
-        sizes = np.full(n_folds, ids.size // n_folds, dtype=np.int64)
-        sizes[: ids.size % n_folds] += 1
+        # first-appearance order; a "U" array would drop trailing NULs
+        ids = list(dict.fromkeys(table.specimen_ids.tolist()))
+        order = rng.permutation(len(ids))
+        sizes = np.full(n_folds, len(ids) // n_folds, dtype=np.int64)
+        sizes[: len(ids) % n_folds] += 1
         specimen_fold = {}
         start = 0
         for fold, size in enumerate(sizes, start=1):
@@ -120,7 +120,7 @@ def make_folds(
                 specimen_fold[ids[pos]] = fold
             start += size
         assignment = np.array(
-            [specimen_fold[str(s)] for s in table.specimen_ids], dtype=np.int64
+            [specimen_fold[s] for s in table.specimen_ids.tolist()], dtype=np.int64
         )
     else:
         raise ValueError(f"unknown granularity {granularity!r}")

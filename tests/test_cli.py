@@ -222,6 +222,12 @@ class TestUsageErrors:
         assert code == 1
 
 
+def long_quoted_first_id(raw):
+    """An observation CSV whose first id is a quoted 140,000-character field."""
+    header, rest = raw.split(b"\r\n", 1)
+    return header + b'\r\n"' + b"x" * 140_000 + b'"' + rest[rest.index(b","):]
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """generate -> extract on a reduced-replicate benchmark."""
@@ -395,6 +401,28 @@ class TestEndToEnd:
         )
         assert code == 1
         assert "train.csv: no observation rows" in err
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda raw: b"\xff" + raw, "train.csv: line 1: not text"),
+            (long_quoted_first_id, "train.csv: line 2: field larger than field limit"),
+        ],
+        ids=["leading-ff-byte", "oversized-quoted-field"],
+    )
+    def test_unreadable_train_csv_is_a_domain_error(self, tiny_run, tmp_path, capsys,
+                                                    mangle, message):
+        base, data, features = tiny_run
+        raw = (features / "train.csv").read_bytes()
+        (tmp_path / "train.csv").write_bytes(mangle(raw))
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out",
+             str(tmp_path / "results"), "--models", "knn", "--strategies", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "line, cells, message",

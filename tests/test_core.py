@@ -1,5 +1,6 @@
 import csv
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from soilspec.cubeio import (
 )
 from soilspec.errors import (
     BandCountMismatch,
+    SoilspecError,
     IntensityOverflow,
     IoFailure,
     MalformedHeader,
@@ -418,3 +420,177 @@ class TestObservationCsv:
         path.write_text(",".join(OBSERVATION_HEADER) + "\n")
         with pytest.raises(MalformedHeader, match=r"obs\.csv: no observation rows"):
             read_observation_csv(path)
+
+
+class TestObservationCsvDecoding:
+    @pytest.mark.parametrize("line", [1, 4])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "obs.csv"
+        write_observation_csv(make_table(), path)
+        raw = path.read_bytes().split(b"\r\n")
+        raw[line - 1] = b"\xff" + raw[line - 1]
+        path.write_bytes(b"\r\n".join(raw))
+        with pytest.raises(MalformedHeader, match=rf"obs\.csv: line {line}: not text"):
+            read_observation_csv(path)
+
+    @pytest.mark.parametrize("quoted", [True, False], ids=["quoted", "plain"])
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, quoted):
+        table = make_table()
+        long_id = "x" * (csv.field_size_limit() + 1)
+        table.specimen_ids = np.array(
+            [long_id + ("," if quoted else "")] * 100 + ["s1"] * 100, dtype=object
+        )
+        path = tmp_path / "obs.csv"
+        write_observation_csv(table, path)
+        with pytest.raises(MalformedHeader, match=r"obs\.csv: line 2: field larger"):
+            read_observation_csv(path)
+
+    def test_manifest_reader_shares_the_mapping(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        long_field = b'"' + b"y" * (csv.field_size_limit() + 1) + b'"'
+        path.write_bytes(b"a,b\r\n1," + long_field + b"\r\n")
+        with pytest.raises(MalformedHeader, match=r"rows\.csv: line 2: field larger"):
+            cubeio.read_csv_rows(path, ["a", "b"], "test")
+
+
+class TestOnePassParse:
+    @pytest.mark.parametrize("line_end", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+    def test_writer_output_takes_the_one_pass_parse(self, tmp_path, line_end):
+        path = tmp_path / "obs.csv"
+        write_observation_csv(make_table(n_specimens=3, seed=2), path)
+        text = path.read_bytes().replace(b"\r\n", line_end).decode()
+        assert cubeio._parse_plain(text) is not None
+
+    def edit(self, tmp_path, cells):
+        """A written table with `cells` ((line, column, text)) replaced."""
+        path = tmp_path / "obs.csv"
+        write_observation_csv(make_table(), path)
+        lines = path.read_text().splitlines()
+        for line, column, cell in cells:
+            fields = lines[line - 1].split(",")
+            fields[OBSERVATION_HEADER.index(column)] = cell
+            lines[line - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_non_ascii_digits_in_integer_cells_read_as_int_reads_them(self, tmp_path):
+        # np.loadtxt reads this Devanagari 2 as 2360; blocks (1, 1), (1, 2) swap
+        path = self.edit(tmp_path, [(2, "block_col", "\u0968"), (3, "block_col", "1")])
+        assert read_observation_csv(path).block_cols[:3].tolist() == [2, 1, 3]
+
+    def test_non_ascii_digits_in_float_cells_read_as_float_reads_them(self, tmp_path):
+        path = self.edit(tmp_path, [(4, "f365", "\u0661.\u0665")])
+        assert read_observation_csv(path).features[2, 0] == 1.5
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"], ids=["crlf", "lf"])
+    def test_blank_line_names_file_and_line(self, tmp_path, line_end):
+        path = tmp_path / "obs.csv"
+        write_observation_csv(make_table(), path)
+        lines = path.read_text().splitlines()
+        lines.insert(3, "")
+        path.write_bytes(line_end.join(lines + [""]).encode())
+        with pytest.raises(MalformedHeader, match=r"obs\.csv: line 4 has 0 fields"):
+            read_observation_csv(path)
+
+    @pytest.mark.parametrize("cell", ["3\x1f", "\x1c3", "3\x1e"])
+    def test_separator_blanks_are_not_numbers(self, tmp_path, cell):
+        path = self.edit(tmp_path, [(3, "f405", cell)])
+        with pytest.raises(MalformedHeader, match=r"obs\.csv: line 3: could not"):
+            read_observation_csv(path)
+
+
+_ID_TEXT = st.text(alphabet=st.sampled_from(list('ab, "\n\r\x00\t\u2028')), max_size=6)
+
+
+class TestObservationCsvProperties:
+    """Hypothesis properties of the observation reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.binary(max_size=400))
+    def test_any_bytes_give_a_table_or_a_domain_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "obs.csv"
+        path.write_bytes(raw)
+        try:
+            assert isinstance(read_observation_csv(path), ObservationTable)
+        except SoilspecError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=st.binary(max_size=120), line=st.integers(0, 300),
+           cut=st.integers(0, 400))
+    def test_mangled_tables_give_a_table_or_a_domain_error(self, tmp_path_factory, raw,
+                                                           line, cut):
+        path = tmp_path_factory.mktemp("fuzz") / "obs.csv"
+        write_observation_csv(make_table(n_specimens=3), path)
+        lines = path.read_bytes().split(b"\r\n")
+        line %= len(lines)
+        lines[line] = lines[line][:cut] + raw + lines[line][cut:]
+        path.write_bytes(b"\r\n".join(lines))
+        try:
+            assert isinstance(read_observation_csv(path), ObservationTable)
+        except SoilspecError:
+            pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(_ID_TEXT, min_size=1, max_size=4, unique=True),
+        crlf=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_write_then_read_is_exact(self, tmp_path_factory, ids, crlf, seed):
+        if not crlf:  # an LF file cannot hold a CR inside an id either
+            ids = list(dict.fromkeys(i.replace("\r", "") for i in ids))
+        table = make_table(n_specimens=len(ids), seed=seed)
+        table.specimen_ids = np.array(ids, dtype=object).repeat(100)
+        table.features[::7, 0] = -0.0
+        path = tmp_path_factory.mktemp("trip") / "obs.csv"
+        write_observation_csv(table, path)
+        if not crlf:
+            path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        loaded = read_observation_csv(path)
+        assert list(loaded.specimen_ids) == list(table.specimen_ids)
+        for name in ("block_rows", "block_cols", "features", "compositions",
+                     "texture_codes"):
+            got, want = getattr(loaded, name), getattr(table, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    # cells that int(), float() and np.loadtxt may read differently
+    _CELLS = ["1", "+3", " 4", "5 ", "06", "7.0", "8_0", "1e1", "", " ", "-0.0",
+              "1e400", "1e-400", "nan", "-inf", "0x1", ".", "--3", "1.2.3", "3e",
+              "99999999999999999999", "-9223372036854775808", "\x0b3", "3\x0c",
+              "\x1c3", "3\x1f", "\x002", "3\x7f", "\xa01.5", "1.5\u2003",
+              "\u0669", "\u0968", "\u0661.\u0665", "Loam", " Sand", "Sand\t"]
+    _PLAIN_ID = st.text(alphabet=st.sampled_from(list("ab \t\x00\x0b\x1c\x7f\xa0")),
+                        max_size=5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ids=st.lists(_PLAIN_ID, min_size=1, max_size=3),
+        edits=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 19),
+                                 st.sampled_from(_CELLS)), max_size=3),
+        crlf=st.booleans(),
+    )
+    def test_one_pass_parse_agrees_with_the_per_line_parse(self, ids, edits, crlf):
+        # whatever the vectorized pass accepts, the csv loop reads the same
+        lines = [",".join(OBSERVATION_HEADER)]
+        for row in range(10):
+            fields = [ids[row % len(ids)], str(row + 1), "1"]
+            fields += [repr(0.1 * row + j) for j in range(N_BANDS)]
+            fields += ["30.0", "30.0", "40.0", "ClayLoam"]
+            lines.append(",".join(fields))
+        for line, column, cell in edits:
+            fields = lines[line + 1].split(",")
+            fields[min(column, len(fields) - 1)] = cell
+            lines[line + 1] = ",".join(fields)
+        text = ("\r\n" if crlf else "\n").join(lines) + "\n"
+        plain = cubeio._parse_plain(text)
+        if plain is None:
+            return
+        rows = cubeio._parse_rows(Path("obs.csv"), text)
+        for got, want in zip(plain, rows):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if got.dtype == object:
+                assert got.tolist() == want.tolist()
+            else:
+                assert got.tobytes() == want.tobytes()

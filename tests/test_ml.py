@@ -3,10 +3,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soilspec.errors import (
     ClassTooSmall,
     ConstantTruth,
+    DimensionMismatch,
     EmptyTrainingSet,
     KTooLarge,
     LabelOutOfRange,
@@ -313,6 +316,69 @@ class TestKnn:
         with pytest.raises(NotFitted):
             learner(k=1).predict(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (4,), (2, 2, 2)])
+    def test_query_column_count_checked(self, shape):
+        model = KnnRegressor(k=1).fit(np.zeros((5, 2)), np.zeros(5))
+        with pytest.raises(DimensionMismatch, match="need 2 columns"):
+            model.predict(np.zeros(shape))
+
+
+class TestNeighborSearch:
+    """k_nearest against the linear scan where the first fixed-width round
+    cannot resolve every query."""
+
+    class CountingTree:
+        """A KD-tree that counts its queries and their widths."""
+
+        def __init__(self, points):
+            self.tree = build_tree(points)
+            self.data = self.tree.data
+            self.widths = []
+
+        def query(self, queries, k, workers):
+            self.widths.append(len(k))
+            return self.tree.query(queries, k=k, workers=workers)
+
+    def expected(self, points, queries, k):
+        if queries is None:
+            return np.array([brute_force_neighbors(points, p, k, exclude=i)
+                             for i, p in enumerate(points)])
+        return np.array([brute_force_neighbors(points, q, k) for q in queries])
+
+    @pytest.mark.parametrize("self_query", [True, False], ids=["self", "external"])
+    def test_fifty_copies_widen_the_query(self, self_query):
+        points = np.vstack([np.full((50, 2), 0.5), [[0.0, 0.0], [3.0, 1.0]]])
+        external = np.array([[0.5, 0.5], [0.4, 0.5], [9.0, 9.0]])
+        queries = None if self_query else external
+        tree = self.CountingTree(points)
+        got = k_nearest(tree, 1, queries)
+        assert np.array_equal(got, self.expected(points, queries, 1))
+        assert len(tree.widths) > 1 and tree.widths[-1] > tree.widths[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                      min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=2, max_size=90),
+        k=st.integers(1, 12),
+        self_query=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_heavy_duplication_matches_the_scan(self, base, picks, k, self_query,
+                                                seed):
+        base = np.array(base, dtype=np.float64) * 0.25
+        points = base[[p % len(base) for p in picks]]
+        n = points.shape[0]
+        rng = np.random.default_rng(seed)
+        if self_query:
+            queries, k = None, min(k, n - 1)
+        else:
+            k = min(k, n)
+            queries = np.vstack([points[rng.integers(0, n, 4)],
+                                 rng.integers(-3, 4, (4, 2)) * 0.125])
+        got = k_nearest(build_tree(points), k, queries)
+        assert np.array_equal(got, self.expected(points, queries, k))
+
 
 class TestDecisionTree:
     @pytest.mark.parametrize(
@@ -550,20 +616,71 @@ class TestLabelRange:
         with pytest.raises(LabelOutOfRange, match="label -2 at row 1 "):
             DecisionTreeClassifier().fit(np.zeros((3, 1)), [0, -2, 1])
 
+    def test_knn_negative_label_names_the_row(self):
+        # the int64 labels alone would let -1 vote for the last class
+        with pytest.raises(LabelOutOfRange, match="label -1 at row 1 "):
+            KnnClassifier(k=1).fit(np.zeros((3, 1)), [0, -1, 1])
+
+    def test_knn_fractional_float_label_names_the_row(self):
+        # the int64 cast alone would fit 1.7 as class 1
+        with pytest.raises(LabelOutOfRange,
+                           match=r"label 1\.7 at row 2 is not a whole number"):
+            KnnClassifier(k=1).fit(np.arange(4.0)[:, np.newaxis], [0, 1, 1.7, 2])
+
+    def test_knn_whole_float_labels_fit_as_integers(self):
+        X = np.arange(6.0)[:, np.newaxis]
+        y = np.array([0, 0, 1, 1, 2, 2])
+        floats = KnnClassifier(k=3).fit(X, y.astype(np.float64))
+        ints = KnnClassifier(k=3).fit(X, y)
+        assert np.array_equal(floats.predict(X + 0.4), ints.predict(X + 0.4))
+        assert floats.params_digest() == ints.params_digest()
+
     def test_forest_checks_labels_once(self, monkeypatch):
         checks = []
-        original = trees._check_labels
+        original = trees.check_labels
 
         def counting(labels, n_classes):
             checks.append(labels.size)
             original(labels, n_classes)
 
-        monkeypatch.setattr(trees, "_check_labels", counting)
+        monkeypatch.setattr(trees, "check_labels", counting)
         rng = np.random.default_rng(71)
         RandomForestClassifier(n_trees=4, n_classes=3).fit(
             rng.normal(0, 1, (30, 2)), rng.integers(0, 3, 30)
         )
         assert checks == [30]
+
+
+class TestLengthMismatch:
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda X, y: smote(X, y),
+            lambda X, y: KnnClassifier(k=1).fit(X, y),
+            lambda X, y: KnnRegressor(k=1).fit(X, y),
+            lambda X, y: DecisionTreeClassifier().fit(X, y),
+            lambda X, y: DecisionTreeRegressor().fit(X, y),
+            lambda X, y: RandomForestClassifier(n_trees=2).fit(X, y),
+            lambda X, y: RandomForestRegressor(n_trees=2).fit(X, y),
+        ],
+        ids=["smote", "knn-classifier", "knn-regressor", "tree-classifier",
+             "tree-regressor", "forest-classifier", "forest-regressor"],
+    )
+    @pytest.mark.parametrize("targets", [5, 12])
+    def test_targets_counted_against_rows(self, fit, targets):
+        X = np.arange(20.0).reshape(10, 2)
+        y = np.arange(targets) % 2
+        with pytest.raises(LengthMismatch, match=rf"10 feature rows but {targets} "):
+            fit(X, y)
+
+    def test_multi_output_targets_count_rows(self):
+        with pytest.raises(LengthMismatch, match="5 feature rows but 4 targets"):
+            KnnRegressor(k=1).fit(np.zeros((5, 2)), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_scalar_target_is_not_one_per_row(self, rows):
+        with pytest.raises(LengthMismatch, match=f"{rows} feature rows but scalar"):
+            KnnRegressor(k=1).fit(np.zeros((rows, 2)), 5.0)
 
 
 class TestNonFinite:

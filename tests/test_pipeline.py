@@ -94,6 +94,17 @@ class TestMakeFolds:
         sizes = np.bincount(plan.assignment)[1:]
         assert sizes.max() - sizes.min() <= 10  # one specimen's worth
 
+    def test_specimen_ids_differing_by_a_trailing_nul(self):
+        # a "U" array holds "m0s0" and "m0s0\x00" as one string
+        table = cluster_table(n_mixtures=1, specimens_per_mixture=10,
+                              blocks_per_specimen=2)
+        table.specimen_ids = np.array(
+            ["m0s0" + "\x00" * int(sid[-1]) for sid in table.specimen_ids],
+            dtype=object,
+        )
+        plan = make_folds(table, seed=6, granularity="specimen")
+        assert np.bincount(plan.assignment)[1:].tolist() == [4] * 5
+
     def test_stratified_block_assignment(self):
         table = cluster_table(n_mixtures=6, specimens_per_mixture=5)
         plan = make_folds(table, seed=7, stratify=True)
