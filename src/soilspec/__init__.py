@@ -31,7 +31,7 @@ from .cubeio import (
     write_observation_csv,
 )
 from .features import MinMaxScaler, block_means, emit_signatures, flatten_observations
-from .lda import LdaModel, ScatterPair, fit_lda, load_model, project, save_model, scatter
+from .lda import LdaModel, ScatterPair, fit_lda, project, scatter
 from .pipeline import (
     CvPlan,
     ModelSpec,

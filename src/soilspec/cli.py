@@ -1,17 +1,18 @@
 """Command-line entry point: generate, extract, evaluate, signatures, triangle.
 
-Every command that writes an output directory drops the exact RunConfig it
-executed as run_config.json, so any result tree can be reproduced from its
-own provenance. Exit codes: 0 success, 1 domain error, 2 usage error.
+Every command that writes an output directory drops the command and every
+parameter it ran with as run_config.json, so any result tree can be
+reproduced from its own provenance. Exit codes: 0 success, 1 domain error,
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import pipeline, synthgen
@@ -26,27 +27,10 @@ from .triangle import classify_composition, dump_rules, normalize_prediction
 THREADS_ENV = "SOILSPEC_THREADS"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Provenance record: the command and every parameter it ran with."""
-
-    command: str
-    params: dict
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"command": self.command, "params": self.params},
-            sort_keys=True,
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        payload = json.loads(text)
-        return cls(command=payload["command"], params=payload["params"])
-
-    def write(self, out_dir: Path) -> None:
-        (out_dir / "run_config.json").write_text(self.to_json() + "\n")
+def _write_run_config(out_dir: Path, command: str, params: dict) -> None:
+    """Record the command and every parameter it ran with (provenance)."""
+    text = json.dumps({"command": command, "params": params}, sort_keys=True, indent=2)
+    (out_dir / "run_config.json").write_text(text + "\n")
 
 
 def _threads(args) -> int:
@@ -61,6 +45,20 @@ def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"{flag} expects two comma-separated ints")
     return int(parts[0]), int(parts[1])
+
+
+def _parse_roi(text: str) -> tuple[int, int]:
+    x, y = _parse_pair(text, "--roi")
+    if x < 0 or y < 0:
+        raise argparse.ArgumentTypeError(f"expected non-negative ints, got {text!r}")
+    return x, y
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -108,9 +106,10 @@ def cmd_generate(args) -> int:
     manifest = synthgen.generate_dataset(
         (train, validation), endmembers, noise, out_dir, threads=args.threads
     )
-    RunConfig(
-        command="generate",
-        params={
+    _write_run_config(
+        out_dir,
+        "generate",
+        {
             "seed": args.seed,
             "noise": args.noise,
             "endmembers": args.endmembers,
@@ -118,7 +117,7 @@ def cmd_generate(args) -> int:
             "out": str(out_dir),
             "threads": args.threads,
         },
-    ).write(out_dir)
+    )
     print(manifest)
     return 0
 
@@ -136,16 +135,17 @@ def cmd_extract(args) -> int:
         if len(tables[role]):
             write_observation_csv(tables[role], out_dir / filename)
             written.append(filename)
-    RunConfig(
-        command="extract",
-        params={
+    _write_run_config(
+        out_dir,
+        "extract",
+        {
             "data": str(args.data),
             "out": str(out_dir),
             "roi": [args.roi[0], args.roi[1]],
             "kappa": args.kappa,
             "threads": args.threads,
         },
-    ).write(out_dir)
+    )
     for filename in written:
         print(out_dir / filename)
     return 0
@@ -186,9 +186,10 @@ def cmd_evaluate(args) -> int:
             table, validation, *specs, seed=args.seed
         )
         pipeline.write_external_csv(reports, out_dir / "external_validation.csv")
-    RunConfig(
-        command="evaluate",
-        params={
+    _write_run_config(
+        out_dir,
+        "evaluate",
+        {
             "features": str(features_dir),
             "out": str(out_dir),
             "models": args.models,
@@ -204,7 +205,7 @@ def cmd_evaluate(args) -> int:
             "external_validation": args.external_validation,
             "threads": args.threads,
         },
-    ).write(out_dir)
+    )
     print(out_dir / "aggregate.csv")
     return 0
 
@@ -221,14 +222,15 @@ def cmd_signatures(args) -> int:
         path = out_dir / f"signatures_by_{grouping}.csv"
         emit_signatures(table, grouping, path)
         print(path)
-    RunConfig(
-        command="signatures",
-        params={
+    _write_run_config(
+        out_dir,
+        "signatures",
+        {
             "features": str(args.features),
             "out": str(out_dir),
             "group_by": args.group_by,
         },
-    ).write(out_dir)
+    )
     return 0
 
 
@@ -273,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for CSVs")
     p.add_argument(
         "--roi",
-        type=lambda s: _parse_pair(s, "--roi"),
+        type=_parse_roi,
         default=(synthgen.DEFAULT_ROI.x1, synthgen.DEFAULT_ROI.y1),
         metavar="X,Y",
         help="ROI top-left corner (default 10,10)",
     )
-    p.add_argument("--kappa", type=float, default=0.03,
+    p.add_argument("--kappa", type=_positive_float, default=0.03,
                    help="tanh contrast steepness")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_extract)

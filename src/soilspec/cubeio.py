@@ -32,6 +32,7 @@ from .core import (
 )
 from .errors import (
     BandCountMismatch,
+    IntensityOverflow,
     IoFailure,
     MalformedHeader,
     NegativeComponent,
@@ -99,6 +100,14 @@ def _unpack(path: Path) -> tuple[tuple[int, ...], np.ndarray]:
     return wavelengths, planes
 
 
+def _in_range(path: Path, make, planes: np.ndarray):
+    """`make(planes)`, naming the file when an intensity exceeds 10 bits."""
+    try:
+        return make(planes)
+    except IntensityOverflow as exc:
+        raise IntensityOverflow(f"{path}: {exc}") from None
+
+
 def write_cube(cube: SpectralCube, path: str | Path) -> None:
     """Write a 13-band cube; identical cubes produce identical bytes."""
     _write(path, cube.wavelengths_nm, cube.planes)
@@ -116,7 +125,7 @@ def read_cube(path: str | Path) -> SpectralCube:
         raise MalformedHeader(
             f"{path}: wavelength table {wavelengths} is not the canonical set"
         )
-    return SpectralCube(planes=planes)
+    return _in_range(path, SpectralCube, planes)
 
 
 def write_dark_frame(dark: DarkFrame, path: str | Path) -> None:
@@ -133,7 +142,7 @@ def read_dark_frame(path: str | Path) -> DarkFrame:
         )
     if wavelengths[0] != 0:
         raise MalformedHeader(f"{path}: dark frame wavelength must be 0")
-    return DarkFrame(plane=planes[0])
+    return _in_range(path, DarkFrame, planes[0])
 
 
 def fmt_float(value: float) -> str:
@@ -147,7 +156,7 @@ _CSV_CHUNK_ROWS = 2000
 
 
 def _csv_field(text: str) -> str:
-    """One field as csv.writer's default dialect writes it."""
+    """One field as `write_csv_rows` writes it."""
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -156,7 +165,7 @@ def _csv_field(text: str) -> str:
 def write_observation_csv(table: ObservationTable, path: str | Path) -> None:
     """Write the block-level observation table with the canonical header.
 
-    The bytes are those of ``csv.writer`` with ``fmt_float`` cells: CRLF
+    The bytes are those of ``write_csv_rows`` with ``fmt_float`` cells: CRLF
     line ends, and ids quoted where they hold a comma, a quote or a line
     break.
     """
@@ -211,6 +220,17 @@ def read_csv_rows(
         return list(reader)
     except csv.Error as exc:
         raise MalformedHeader(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def write_csv_rows(path: str | Path, header: list[str], rows) -> None:
+    """Write `header`, then `rows`, in csv.writer's default dialect."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _reject_first(path: Path, bad: np.ndarray, error: type, what: str) -> None:

@@ -9,7 +9,6 @@ table (100 rows per specimen).
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Iterable
 
@@ -24,8 +23,8 @@ from .core import (
     ObservationTable,
     TextureClass,
 )
-from .cubeio import fmt_float
-from .errors import DegenerateBand, DimensionMismatch, EmptyGroup, IoFailure, NotFitted
+from .cubeio import fmt_float, write_csv_rows
+from .errors import DegenerateBand, DimensionMismatch, EmptyGroup, NotFitted
 from .preprocess import PreprocessedRoi
 
 BLOCK_SIDE = ROI_SIDE // BLOCK_GRID
@@ -165,11 +164,8 @@ def group_signatures(
 def emit_signatures(table: ObservationTable, grouping: str, path: str | Path) -> None:
     """Write the signature CSV: one row per group, 13 per-band mean columns."""
     labels, means = group_signatures(table, grouping)
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group"] + [f"f{nm}" for nm in BAND_WAVELENGTHS_NM])
-            for label, row in zip(labels, means):
-                writer.writerow([label] + [fmt_float(v) for v in row])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_csv_rows(
+        path,
+        ["group"] + [f"f{nm}" for nm in BAND_WAVELENGTHS_NM],
+        ([label] + [fmt_float(v) for v in row] for label, row in zip(labels, means)),
+    )

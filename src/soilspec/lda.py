@@ -9,21 +9,11 @@ requested energy (default 99%).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .cubeio import fmt_float
-from .errors import (
-    DimensionMismatch,
-    EmptyClass,
-    IoFailure,
-    MalformedHeader,
-    NumericalFailure,
-    SingleClass,
-)
+from .errors import DimensionMismatch, EmptyClass, NumericalFailure, SingleClass
 
 DEFAULT_RIDGE = 1e-8
 DEFAULT_ENERGY = 0.99
@@ -176,46 +166,3 @@ def project(model: LdaModel, features: np.ndarray) -> np.ndarray:
             f"{model.projection.shape}"
         )
     return features @ model.projection
-
-
-def save_model(model: LdaModel, path: str | Path) -> None:
-    """Persist a fitted model; floats use round-trip-exact decimal strings."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k_selected", str(model.k_selected)])
-            writer.writerow(["ridge", fmt_float(model.ridge)])
-            writer.writerow(["eigenvalues"] + [fmt_float(v) for v in model.eigenvalues])
-            writer.writerow(["projection_rows", str(model.projection.shape[0])])
-            for row in model.projection:
-                writer.writerow([fmt_float(v) for v in row])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def load_model(path: str | Path) -> LdaModel:
-    path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    labels = [row[:1] for row in rows[:4]]
-    if labels != [["k_selected"], ["ridge"], ["eigenvalues"], ["projection_rows"]]:
-        raise MalformedHeader(f"{path}: not a saved LDA model")
-    try:
-        k_selected = int(rows[0][1])
-        ridge = float(rows[1][1])
-        eigenvalues = np.array([float(v) for v in rows[2][1:]])
-        n_rows = int(rows[3][1])
-        projection = np.array(
-            [[float(v) for v in rows[4 + i]] for i in range(n_rows)]
-        )
-    except (IndexError, ValueError) as exc:
-        raise MalformedHeader(f"{path}: not a saved LDA model") from exc
-    return LdaModel(
-        projection=projection,
-        eigenvalues=eigenvalues,
-        k_selected=k_selected,
-        ridge=ridge,
-    )

@@ -33,8 +33,12 @@ class _KnnBase:
         self.train_y: np.ndarray | None = None
 
     def fit(self, features: np.ndarray, targets: np.ndarray):
-        features = np.ascontiguousarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] == 0:
+        features = np.asarray(features, dtype=np.float64, order="C")
+        if features.ndim != 2:
+            raise DimensionMismatch(
+                f"KNN training features of shape {features.shape} are not 2-D"
+            )
+        if features.shape[0] == 0:
             raise EmptyTrainingSet("KNN fitted with no training rows")
         if self.k > features.shape[0]:
             raise KTooLarge(f"k={self.k} exceeds {features.shape[0]} training rows")

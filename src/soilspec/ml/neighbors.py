@@ -8,8 +8,9 @@ the w-th lies beyond a padded k-th distance, those w hold every row that can
 rank in the top k. Their squared distances are recomputed with the scan's
 formula ``((q - x) ** 2).sum``, so ties resolve on the same bits. Queries
 whose w-th row is still inside the padded radius (duplicates, grids) are
-asked again with w doubled. ``scipy.spatial`` is imported on first use,
-which keeps it out of CLI start-up.
+asked again with w doubled. Each round runs in chunks of query rows, so
+heavily tied data never builds an (n, n) array at once. ``scipy.spatial`` is
+imported on first use, which keeps it out of CLI start-up.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from ..errors import LabelOutOfRange, LengthMismatch, NumericalFailure
 # Tree rows asked for beyond the reach on the first round: in general
 # position the (reach + 1)-th row already lies outside the padded radius.
 _FIRST_EXTRA = 1
+# Query rows x width per chunk: about 20 MB of arrays at dim 2.
+_CHUNK_CELLS = 1 << 18
 
 
 def check_finite(values: np.ndarray, what: str) -> None:
@@ -88,21 +91,26 @@ def k_nearest(
     rows = np.arange(queries.shape[0])
     width = min(reach + _FIRST_EXTRA, n)
     while rows.size:
-        dist, index = tree.query(queries[rows], k=range(1, width + 1),
-                                 workers=workers)
-        # The tree sums squares in another order than the scan, a few ulps
-        # apart: pad the radius, and floor it so a zero k-th distance keeps
-        # duplicates. Every row inside it is among the `width` returned once
-        # the width-th lies outside, or once all n rows are returned.
-        radius = np.maximum(dist[:, reach - 1] * (1.0 + 1e-9), 1e-150)
-        done = dist[:, -1] > radius if width < n else np.ones(rows.size, bool)
-        found, index = rows[done], index[done]
-        if self_query:  # each row's own index is inside its radius
-            keep = index != found[:, np.newaxis]
-            index = index[keep].reshape(found.size, width - 1)
-        d2 = ((queries[found][:, np.newaxis] - data[index]) ** 2).sum(axis=2)
-        order = np.lexsort((index, d2))[:, :k]
-        nearest[found] = np.take_along_axis(index, order, axis=1)
-        rows = rows[~done]
+        step = max(1, _CHUNK_CELLS // width)
+        unresolved = []
+        for start in range(0, rows.size, step):
+            part = rows[start : start + step]
+            dist, index = tree.query(queries[part], k=range(1, width + 1),
+                                     workers=workers)
+            # The tree sums squares in another order than the scan, a few
+            # ulps apart: pad the radius, and floor it so a zero k-th distance
+            # keeps duplicates. Every row inside it is among the `width`
+            # returned once the width-th lies outside, or once all n rows are.
+            radius = np.maximum(dist[:, reach - 1] * (1.0 + 1e-9), 1e-150)
+            done = dist[:, -1] > radius if width < n else np.ones(part.size, bool)
+            found, index = part[done], index[done]
+            if self_query:  # each row's own index is inside its radius
+                keep = index != found[:, np.newaxis]
+                index = index[keep].reshape(found.size, width - 1)
+            d2 = ((queries[found][:, np.newaxis] - data[index]) ** 2).sum(axis=2)
+            order = np.lexsort((index, d2))[:, :k]
+            nearest[found] = np.take_along_axis(index, order, axis=1)
+            unresolved.append(part[~done])
+        rows = np.concatenate(unresolved)
         width = min(2 * width, n)
     return nearest

@@ -13,7 +13,6 @@ it once, with the validation table as the test split.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import N_CLASSES, ObservationTable, TextureClass
-from .cubeio import fmt_float
-from .errors import IoFailure, OffSimplex, SpecimenOverlap
+from .cubeio import fmt_float, write_csv_rows
+from .errors import OffSimplex, SpecimenOverlap
 from .features import MinMaxScaler, composition_group_labels
 from .lda import LdaModel, fit_lda, project, scatter
 from .ml import (
@@ -465,18 +464,8 @@ RESULTS_HEADER = ["strategy", "model", "fold", "metric", "value"]
 AGGREGATE_HEADER = ["strategy", "model", "metric", "mean", "std"]
 
 
-def _write_csv(path: str | Path, header: list[str], rows) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
 def write_results_csv(results: list[StrategyResult], path: str | Path) -> None:
-    _write_csv(
+    write_csv_rows(
         path,
         RESULTS_HEADER,
         (
@@ -489,7 +478,7 @@ def write_results_csv(results: list[StrategyResult], path: str | Path) -> None:
 
 
 def write_aggregate_csv(results: list[StrategyResult], path: str | Path) -> None:
-    _write_csv(
+    write_csv_rows(
         path,
         AGGREGATE_HEADER,
         (
@@ -505,7 +494,7 @@ def write_confusion_csv(result: StrategyResult, path: str | Path) -> None:
     if normalized is None:
         raise ValueError("confusion output only applies to classification results")
     names = [c.value for c in TextureClass]
-    _write_csv(
+    write_csv_rows(
         path,
         ["class"] + names,
         ([name] + [fmt_float(v) for v in row] for name, row in zip(names, normalized)),
@@ -513,7 +502,7 @@ def write_confusion_csv(result: StrategyResult, path: str | Path) -> None:
 
 
 def write_external_csv(reports: dict[str, RegressionReport], path: str | Path) -> None:
-    _write_csv(
+    write_csv_rows(
         path,
         ["model", "metric", "value"],
         (

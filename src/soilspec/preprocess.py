@@ -18,6 +18,7 @@ over one band's pixels in row-major order, so the stats carry the bits of
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -45,8 +46,8 @@ class NormalizationParams:
     kappa: float = 0.03
 
     def __post_init__(self) -> None:
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
 
 
 @dataclass(frozen=True)

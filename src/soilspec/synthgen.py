@@ -16,7 +16,6 @@ allocating formula in its order, so reuse changes no bit.
 
 from __future__ import annotations
 
-import csv
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -41,6 +40,7 @@ from .cubeio import (
     read_csv_rows,
     read_cube,
     read_dark_frame,
+    write_csv_rows,
     write_cube,
     write_dark_frame,
 )
@@ -368,24 +368,17 @@ def generate_dataset(
         entries = [render(item) for item in plan]
 
     manifest_path = out_dir / "manifest.csv"
-    try:
-        with open(manifest_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(MANIFEST_HEADER)
-            for e in entries:
-                writer.writerow(
-                    [e.specimen_id, e.role]
-                    + [fmt_float(w) for w in e.weights]
-                    + [
-                        fmt_float(e.composition.clay_pct),
-                        fmt_float(e.composition.silt_pct),
-                        fmt_float(e.composition.sand_pct),
-                        e.texture.value,
-                        e.cube_path,
-                    ]
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {manifest_path}: {exc}") from exc
+    write_csv_rows(
+        manifest_path,
+        MANIFEST_HEADER,
+        (
+            [e.specimen_id, e.role]
+            + [fmt_float(w) for w in e.weights]
+            + [fmt_float(v) for v in e.composition.as_array()]
+            + [e.texture.value, e.cube_path]
+            for e in entries
+        ),
+    )
     return manifest_path
 
 

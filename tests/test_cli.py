@@ -146,17 +146,6 @@ class TestTriangleCommand:
         assert "--clay" in err
 
 
-class TestRunConfig:
-    def test_json_round_trip(self):
-        from soilspec.cli import RunConfig
-
-        config = RunConfig(
-            command="evaluate",
-            params={"seed": 7, "models": ["knn"], "max_depth": None},
-        )
-        assert RunConfig.from_json(config.to_json()) == config
-
-
 class TestThreadsConfig:
     def test_env_variable_mirrors_flag(self, monkeypatch):
         from soilspec.cli import _threads, build_parser
@@ -204,6 +193,28 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--kappa", "0"),
+            ("--kappa", "-1"),
+            ("--kappa", "nan"),
+            ("--kappa", "inf"),
+            ("--kappa", "x"),
+            ("--roi", "-5,-5"),
+            ("--roi", "5,-1"),
+            ("--roi", "5"),
+            ("--roi", "a,1"),
+        ],
+    )
+    def test_bad_extract_value_exits_two(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--data", str(tmp_path), "--out",
+                  str(tmp_path / "features"), f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "features").exists()
 
     def test_bad_threads_env_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SOILSPEC_THREADS", "x")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soilspec import cubeio
+from soilspec import cubeio, synthgen
 from soilspec.core import (
     BAND_WAVELENGTHS_NM,
     N_BANDS,
@@ -38,7 +38,7 @@ from soilspec.errors import (
     SumViolation,
     TruncatedPayload,
 )
-from soilspec.triangle import classify_percentages
+from soilspec.triangle import classify_composition, classify_percentages
 
 
 def make_cube(seed=0, height=5, width=7):
@@ -200,6 +200,81 @@ def msc1_reference(wavelengths, planes):
     return (struct.pack("<4sHHH", b"MSC1", bands, width, height)
             + struct.pack(f"<{bands}H", *wavelengths)
             + np.asarray(planes).astype("<u2").tobytes(order="C"))
+
+
+def valid_manifest():
+    train, validation = synthgen.default_benchmark()
+    lines = [",".join(synthgen.MANIFEST_HEADER)]
+    for i, mixture in enumerate(train[:4] + validation[:2]):
+        composition = mixture.composition()
+        lines.append(",".join(
+            [f"s{i}", mixture.role, *map(fmt_float, mixture.weights),
+             *map(fmt_float, composition.as_array()),
+             classify_composition(composition).value, f"cubes/s{i}.msc"]
+        ))
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def valid_endmembers():
+    lines = ["band_nm," + ",".join(synthgen.ENDMEMBER_NAMES)]
+    for nm, levels in zip(BAND_WAVELENGTHS_NM, synthgen.DEFAULT_ENDMEMBERS.spectra.T):
+        lines.append(",".join([str(nm), *map(fmt_float, levels)]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# reader, the type it returns, and a valid file
+READERS = {
+    "cube": (read_cube, SpectralCube,
+             msc1_reference(BAND_WAVELENGTHS_NM, np.zeros((N_BANDS, 3, 2)))),
+    "dark": (read_dark_frame, DarkFrame,
+             msc1_reference((0,), np.full((1, 3, 2), 1023))),
+    "manifest": (synthgen.load_manifest, list, valid_manifest()),
+    "endmember": (synthgen.read_endmember_csv, synthgen.EndmemberLibrary,
+                  valid_endmembers()),
+}
+_HEADER_BYTES = {"cube": 10, "dark": 10}
+_CSV_BYTES = st.lists(st.sampled_from(
+    [b",", b'"', b"\r", b"\n", b"0", b"9", b".", b"-", b"e", b" ", b"\x00", b"\xff"]
+), max_size=6).map(b"".join)
+
+
+class TestReaderProperties:
+    """Any bytes given to the MSC1, manifest and endmember readers give a
+    valid object or a domain error that names the file."""
+
+    def check(self, path, kind):
+        read, made, _ = READERS[kind]
+        try:
+            assert isinstance(read(path), made)
+        except SoilspecError as exc:
+            assert str(path) in str(exc)
+
+    def test_valid_files_read(self, tmp_path):
+        for kind, (read, made, raw) in READERS.items():
+            path = tmp_path / kind
+            path.write_bytes(raw)
+            assert isinstance(read(path), made)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.binary(max_size=300), head=st.booleans(),
+           kind=st.sampled_from(sorted(READERS)))
+    def test_any_bytes(self, tmp_path_factory, raw, head, kind):
+        if head:  # after a valid MSC1 fixed header or CSV header line
+            valid = READERS[kind][2]
+            raw = valid[:_HEADER_BYTES.get(kind) or valid.index(b"\n") + 1] + raw
+        path = tmp_path_factory.mktemp("fuzz") / kind
+        path.write_bytes(raw)
+        self.check(path, kind)
+
+    @settings(max_examples=400, deadline=None)
+    @given(insert=st.binary(max_size=8) | _CSV_BYTES, at=st.integers(0, 2000),
+           drop=st.integers(0, 4), kind=st.sampled_from(sorted(READERS)))
+    def test_mangled_files(self, tmp_path_factory, insert, at, drop, kind):
+        raw = READERS[kind][2]
+        at %= len(raw) + 1
+        path = tmp_path_factory.mktemp("fuzz") / kind
+        path.write_bytes(raw[:at] + insert + raw[at + drop:])
+        self.check(path, kind)
 
 
 class TestMsc1Bytes:

@@ -1,13 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
-
-import soilspec
 
 from soilspec.errors import (
     DimensionMismatch,
@@ -18,9 +11,7 @@ from soilspec.errors import (
 from soilspec.lda import (
     LdaModel,
     fit_lda,
-    load_model,
     project,
-    save_model,
     scatter,
     select_k,
 )
@@ -230,39 +221,3 @@ class TestProject:
         permuted = project(model, test[permutation])
         assert np.array_equal(direct[permutation], permuted)
 
-
-class TestPersistence:
-    def test_bit_exact_round_trip(self, tmp_path):
-        rng = np.random.default_rng(32)
-        features, labels = random_instance(rng, n_classes=6, dim=11, n=500)
-        model = fit_lda(scatter(features, labels))
-        path = tmp_path / "model.csv"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.k_selected == model.k_selected
-        assert loaded.ridge == model.ridge
-        assert np.array_equal(loaded.eigenvalues, model.eigenvalues)
-        assert np.array_equal(loaded.projection, model.projection)
-
-    def test_bad_header_rejected_under_optimize(self, tmp_path):
-        # python -O strips assert statements; the header check must survive it
-        path = tmp_path / "model.csv"
-        # a well-formed model file except for its first label
-        path.write_text(
-            "bogus,1\nridge,0.5\neigenvalues,1.0\nprojection_rows,1\n2.0\n"
-        )
-        probe = (
-            "import sys; from soilspec.errors import MalformedHeader; "
-            "from soilspec.lda import load_model\n"
-            "try:\n    load_model(sys.argv[1])\n"
-            "except MalformedHeader:\n    sys.exit(0)\n"
-            "sys.exit(1)"
-        )
-        src = str(Path(soilspec.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", probe, str(path)],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            timeout=60,
-        )
-        assert result.returncode == 0, result.stderr

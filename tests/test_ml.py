@@ -1,11 +1,17 @@
 import hashlib
 import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soilspec
 from soilspec.errors import (
     ClassTooSmall,
     ConstantTruth,
@@ -28,7 +34,7 @@ from soilspec.ml import (
     regression_metrics,
     smote,
 )
-from soilspec.ml import trees
+from soilspec.ml import neighbors, trees
 from soilspec.ml.neighbors import build_tree, k_nearest
 from soilspec.seeding import derive_seed
 
@@ -322,6 +328,12 @@ class TestKnn:
         with pytest.raises(DimensionMismatch, match="need 2 columns"):
             model.predict(np.zeros(shape))
 
+    @pytest.mark.parametrize("learner", [KnnClassifier, KnnRegressor])
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 1), ()])
+    def test_training_features_must_be_2d(self, learner, shape):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
+            learner(k=1).fit(np.zeros(shape), np.zeros(5, dtype=int))
+
 
 class TestNeighborSearch:
     """k_nearest against the linear scan where the first fixed-width round
@@ -378,6 +390,40 @@ class TestNeighborSearch:
                                  rng.integers(-3, 4, (4, 2)) * 0.125])
         got = k_nearest(build_tree(points), k, queries)
         assert np.array_equal(got, self.expected(points, queries, k))
+
+    @pytest.mark.parametrize("cells", [1, 7, 60])
+    @pytest.mark.parametrize("self_query", [True, False], ids=["self", "external"])
+    def test_chunked_rounds_match_the_scan(self, monkeypatch, cells, self_query):
+        rng = np.random.default_rng(11)
+        points = rng.integers(0, 3, (120, 2)) * 0.5  # 9 distinct points
+        queries = None if self_query else rng.integers(-1, 4, (30, 2)) * 0.5
+        monkeypatch.setattr(neighbors, "_CHUNK_CELLS", cells)
+        tree = self.CountingTree(points)
+        got = k_nearest(tree, 4, queries)
+        assert np.array_equal(got, self.expected(points, queries, 4))
+        assert len(tree.widths) > len(set(tree.widths)) > 1
+
+    def test_tied_rows_stay_in_bounded_memory(self):
+        # 3,000 identical rows: the last round asks every query for every
+        # row, which took about 480 MB when a round ran in one piece. VmHWM
+        # is the peak since exec; ru_maxrss would count the forking parent's.
+        probe = (
+            "import numpy as np; from soilspec.ml import KnnClassifier\n"
+            "X = np.zeros((3000, 2)); y = np.zeros(3000, dtype=int)\n"
+            "KnnClassifier(k=5).fit(X, y).predict(X)\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(int(status.split()[0]) // 1024)"
+        )
+        src = str(Path(soilspec.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 200  # MB, about 70 of them the interpreter
 
 
 class TestDecisionTree:

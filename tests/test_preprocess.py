@@ -173,6 +173,11 @@ class TestNormalizeContrast:
         with pytest.raises(ValueError):
             NormalizationParams(kappa=0.0)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+    def test_kappa_must_be_finite(self, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            NormalizationParams(kappa=kappa)
+
 
 class TestPreprocessCube:
     def test_constant_cube_zero_dark(self):
