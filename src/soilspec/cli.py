@@ -1,9 +1,9 @@
 """Command-line entry point: generate, extract, evaluate, signatures, triangle.
 
 Every command that writes an output directory drops the command and every
-parameter it ran with as run_config.json, so any result tree can be
-reproduced from its own provenance. Exit codes: 0 success, 1 domain error,
-2 usage error.
+parsed argument as run_config.json, so any result tree can be reproduced
+from its own provenance. Exit codes: 0 success, 1 domain error, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -27,17 +27,21 @@ from .triangle import classify_composition, dump_rules, normalize_prediction
 THREADS_ENV = "SOILSPEC_THREADS"
 
 
-def _write_run_config(out_dir: Path, command: str, params: dict) -> None:
-    """Record the command and every parameter it ran with (provenance)."""
-    text = json.dumps({"command": command, "params": params}, sort_keys=True, indent=2)
-    (out_dir / "run_config.json").write_text(text + "\n")
+def _write_run_config(args) -> None:
+    """Record the command and every parsed argument in args.out (provenance)."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    text = json.dumps(
+        {"command": args.command, "params": params},
+        sort_keys=True, indent=2, default=str,
+    )
+    (args.out / "run_config.json").write_text(text + "\n")
 
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads
     env = os.environ.get(THREADS_ENV)
-    return max(1, int(env)) if env else 1
+    return _positive_int(env) if env else 1
 
 
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
@@ -52,6 +56,15 @@ def _parse_roi(text: str) -> tuple[int, int]:
     if x < 0 or y < 0:
         raise argparse.ArgumentTypeError(f"expected non-negative ints, got {text!r}")
     return x, y
+
+
+def _parse_replicates(text: str) -> tuple[int, int]:
+    train, validation = _parse_pair(text, "--replicates")
+    if train < 1 or validation < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected TRAIN >= 1 and VAL >= 0, got {text!r}"
+        )
+    return train, validation
 
 
 def _positive_float(text: str) -> float:
@@ -93,31 +106,17 @@ def cmd_generate(args) -> int:
     train, validation = synthgen.default_benchmark()
     if args.replicates is not None:
         r_train, r_val = args.replicates
-        if r_train < 1 or r_val < 0:
-            raise SoilspecError("replicate counts must be >= 1 train, >= 0 validation")
         train = [
             synthgen.MixtureSpec(m.weights, r_train, m.role) for m in train
         ]
         validation = [
             synthgen.MixtureSpec(m.weights, r_val, m.role) for m in validation
+            if r_val > 0
         ]
-        validation = [m for m in validation if m.replicate_count > 0]
-    out_dir = Path(args.out)
     manifest = synthgen.generate_dataset(
-        (train, validation), endmembers, noise, out_dir, threads=args.threads
+        (train, validation), endmembers, noise, args.out, threads=args.threads
     )
-    _write_run_config(
-        out_dir,
-        "generate",
-        {
-            "seed": args.seed,
-            "noise": args.noise,
-            "endmembers": args.endmembers,
-            "replicates": list(args.replicates) if args.replicates else None,
-            "out": str(out_dir),
-            "threads": args.threads,
-        },
-    )
+    _write_run_config(args)
     print(manifest)
     return 0
 
@@ -125,35 +124,23 @@ def cmd_generate(args) -> int:
 def cmd_extract(args) -> int:
     roi = Roi(x1=args.roi[0], y1=args.roi[1])
     params = NormalizationParams(kappa=args.kappa)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     tables = synthgen.extract_tables(
         Path(args.data) / "manifest.csv", roi=roi, params=params, threads=args.threads
     )
     written = []
     for role, filename in (("train", "train.csv"), ("validation", "validation.csv")):
         if len(tables[role]):
-            write_observation_csv(tables[role], out_dir / filename)
+            write_observation_csv(tables[role], args.out / filename)
             written.append(filename)
-    _write_run_config(
-        out_dir,
-        "extract",
-        {
-            "data": str(args.data),
-            "out": str(out_dir),
-            "roi": [args.roi[0], args.roi[1]],
-            "kappa": args.kappa,
-            "threads": args.threads,
-        },
-    )
+    _write_run_config(args)
     for filename in written:
-        print(out_dir / filename)
+        print(args.out / filename)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    features_dir = Path(args.features)
-    out_dir = Path(args.out)
+    features_dir, out_dir = args.features, args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     table = read_observation_csv(features_dir / "train.csv")
     plan = pipeline.make_folds(
@@ -186,26 +173,7 @@ def cmd_evaluate(args) -> int:
             table, validation, *specs, seed=args.seed
         )
         pipeline.write_external_csv(reports, out_dir / "external_validation.csv")
-    _write_run_config(
-        out_dir,
-        "evaluate",
-        {
-            "features": str(features_dir),
-            "out": str(out_dir),
-            "models": args.models,
-            "strategies": args.strategies,
-            "granularity": args.granularity,
-            "stratify": args.stratify,
-            "seed": args.seed,
-            "scaler_scope": args.scaler_scope,
-            "k": args.k,
-            "rf_trees": args.rf_trees,
-            "max_depth": args.max_depth,
-            "min_leaf": args.min_leaf,
-            "external_validation": args.external_validation,
-            "threads": args.threads,
-        },
-    )
+    _write_run_config(args)
     print(out_dir / "aggregate.csv")
     return 0
 
@@ -215,22 +183,13 @@ def cmd_signatures(args) -> int:
     # Signatures are defined over the column-wise min-max normalized table.
     scaler = MinMaxScaler().fit(table.features)
     table = table.with_features(scaler.transform(table.features))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     groupings = ("class", "composition") if args.group_by == "both" else (args.group_by,)
     for grouping in groupings:
-        path = out_dir / f"signatures_by_{grouping}.csv"
+        path = args.out / f"signatures_by_{grouping}.csv"
         emit_signatures(table, grouping, path)
         print(path)
-    _write_run_config(
-        out_dir,
-        "signatures",
-        {
-            "features": str(args.features),
-            "out": str(out_dir),
-            "group_by": args.group_by,
-        },
-    )
+    _write_run_config(args)
     return 0
 
 
@@ -256,23 +215,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesize a cube dataset + manifest")
-    p.add_argument("--out", required=True, help="output dataset directory")
+    p.add_argument("--out", type=Path, required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", choices=sorted(synthgen.NOISE_PRESETS), default="bench")
     p.add_argument("--endmembers", help="endmember spectra override CSV")
     p.add_argument(
         "--replicates",
-        type=lambda s: _parse_pair(s, "--replicates"),
+        type=_parse_replicates,
         default=None,
         metavar="TRAIN,VAL",
         help="override replicate counts (default 20,12)",
     )
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("extract", help="preprocess cubes into observation CSVs")
     p.add_argument("--data", required=True, help="dataset directory (manifest.csv)")
-    p.add_argument("--out", required=True, help="output directory for CSVs")
+    p.add_argument("--out", type=Path, required=True, help="output directory for CSVs")
     p.add_argument(
         "--roi",
         type=_parse_roi,
@@ -282,12 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kappa", type=_positive_float, default=0.03,
                    help="tanh contrast steepness")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("evaluate", help="run cross-validated strategies")
-    p.add_argument("--features", required=True, help="directory with train.csv")
-    p.add_argument("--out", required=True, help="output directory for result CSVs")
+    p.add_argument("--features", type=Path, required=True,
+                   help="directory with train.csv")
+    p.add_argument("--out", type=Path, required=True,
+                   help="output directory for result CSVs")
     p.add_argument("--models", type=_parse_models, default="knn,rf,dt")
     p.add_argument("--strategies", type=_parse_strategies, default="1,2,3")
     p.add_argument("--granularity", choices=("block", "specimen"), default="block")
@@ -299,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=_positive_int, default=None)
     p.add_argument("--min-leaf", type=_positive_int, default=1)
     p.add_argument("--external-validation", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("signatures", help="emit per-group spectral signatures")
     p.add_argument("--features", required=True, help="observation CSV path")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.add_argument("--group-by", choices=("class", "composition", "both"),
                    default="both")
     p.set_defaults(func=cmd_signatures)
@@ -327,10 +288,8 @@ def main(argv=None) -> int:
     if hasattr(args, "threads"):
         try:
             args.threads = _threads(args)
-        except ValueError:
-            parser.error(
-                f"{THREADS_ENV} must be an integer, got {os.environ[THREADS_ENV]!r}"
-            )
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{THREADS_ENV}: {exc}")
     try:
         return args.func(args)
     except SoilspecError as exc:

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IntensityOverflow,
-    MalformedHeader,
     NegativeComponent,
     RoiOutOfBounds,
     SumViolation,
@@ -87,15 +86,14 @@ TEXTURE_NAMES = tuple(c.value for c in _TEXTURE_ORDER)
 class Composition:
     """A (clay, silt, sand) percentage triple.
 
-    Measured compositions satisfy the simplex constraint at construction.
-    Model outputs carry ``predicted=True`` and may drift off the simplex;
-    they must be renormalized before triangle classification.
+    :func:`validate_composition` enforces the simplex constraint; model
+    outputs may drift off it and must be renormalized before triangle
+    classification.
     """
 
     clay_pct: float
     silt_pct: float
     sand_pct: float
-    predicted: bool = False
 
     def as_array(self) -> np.ndarray:
         return np.array([self.clay_pct, self.silt_pct, self.sand_pct])
@@ -117,18 +115,17 @@ def validate_composition(clay: float, silt: float, sand: float) -> Composition:
 
 @dataclass(frozen=True)
 class Roi:
-    """Fixed-size square crop window, identical for all 13 bands."""
+    """ROI_SIDE x ROI_SIDE crop window at (x1, y1), identical for all 13 bands."""
 
     x1: int
     y1: int
-    side: int = ROI_SIDE
 
     def check_fits(self, height: int, width: int) -> None:
         if self.x1 < 0 or self.y1 < 0:
             raise RoiOutOfBounds(f"negative ROI origin ({self.x1}, {self.y1})")
-        if self.x1 + self.side > width or self.y1 + self.side > height:
+        if self.x1 + ROI_SIDE > width or self.y1 + ROI_SIDE > height:
             raise RoiOutOfBounds(
-                f"ROI ({self.x1}, {self.y1}, side {self.side}) exceeds "
+                f"ROI ({self.x1}, {self.y1}, side {ROI_SIDE}) exceeds "
                 f"{width}x{height} image"
             )
 
@@ -142,20 +139,14 @@ def _check_intensities(planes: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SpectralCube:
-    """13 aligned uint16 planes, one per wavelength, ascending band order."""
+    """13 aligned uint16 planes, one per BAND_WAVELENGTHS_NM entry, in order."""
 
     planes: np.ndarray  # shape (13, height, width), dtype uint16
-    wavelengths_nm: tuple[int, ...] = BAND_WAVELENGTHS_NM
 
     def __post_init__(self) -> None:
         planes = np.asarray(self.planes, dtype=np.uint16)
         if planes.ndim != 3:
             raise DimensionMismatch(f"cube planes must be 3-D, got {planes.shape}")
-        if tuple(self.wavelengths_nm) != BAND_WAVELENGTHS_NM:
-            raise MalformedHeader(
-                f"wavelength table {self.wavelengths_nm} is not the canonical "
-                f"ascending 13-band set"
-            )
         if planes.shape[0] != N_BANDS:
             raise DimensionMismatch(
                 f"expected {N_BANDS} planes, got {planes.shape[0]}"
@@ -174,10 +165,8 @@ class SpectralCube:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectralCube):
             return NotImplemented
-        return (
-            self.wavelengths_nm == other.wavelengths_nm
-            and self.planes.shape == other.planes.shape
-            and bool(np.array_equal(self.planes, other.planes))
+        return self.planes.shape == other.planes.shape and bool(
+            np.array_equal(self.planes, other.planes)
         )
 
 

@@ -110,7 +110,7 @@ def _in_range(path: Path, make, planes: np.ndarray):
 
 def write_cube(cube: SpectralCube, path: str | Path) -> None:
     """Write a 13-band cube; identical cubes produce identical bytes."""
-    _write(path, cube.wavelengths_nm, cube.planes)
+    _write(path, BAND_WAVELENGTHS_NM, cube.planes)
 
 
 def read_cube(path: str | Path) -> SpectralCube:

@@ -83,10 +83,6 @@ class SingleClass(SoilspecError):
     """Scatter matrices need at least two classes."""
 
 
-class EmptyClass(SoilspecError):
-    """A declared class has no samples."""
-
-
 class NumericalFailure(SoilspecError):
     """Eigensolve failed, or a learner was handed NaN or inf values."""
 

@@ -3,8 +3,8 @@
 Fitting solves between_scatter @ w = eigval * within_scatter @ w by reducing
 with a Cholesky factor of the (always lightly ridged) within-class scatter
 to a symmetric standard eigenproblem. The projection keeps the smallest
-number of leading components whose cumulative eigenvalue share reaches the
-requested energy (default 99%).
+number of leading components whose cumulative eigenvalue share reaches
+ENERGY (99%).
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyClass, NumericalFailure, SingleClass
+from .errors import DimensionMismatch, NumericalFailure, SingleClass
 
-DEFAULT_RIDGE = 1e-8
-DEFAULT_ENERGY = 0.99
+RIDGE = 1e-8
+ENERGY = 0.99
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,8 @@ class LdaModel:
     ridge: float
 
 
-def scatter(
-    features: np.ndarray, labels: np.ndarray, classes: np.ndarray | None = None
-) -> ScatterPair:
-    """Accumulate within- and between-class scatter matrices.
+def scatter(features: np.ndarray, labels: np.ndarray) -> ScatterPair:
+    """Accumulate within- and between-class scatter over the distinct labels.
 
     within  = sum_c sum_{x in c} (x - mean_c)(x - mean_c)'
     between = sum_c n_c (mean_c - mean)(mean_c - mean)'
@@ -61,10 +59,7 @@ def scatter(
         raise DimensionMismatch(
             f"features {features.shape} and labels {labels.shape} disagree"
         )
-    if classes is None:
-        classes = np.unique(labels)
-    else:
-        classes = np.asarray(classes)
+    classes = np.unique(labels)
     if classes.size < 2:
         raise SingleClass(f"need >= 2 classes, got {classes.size}")
     d = features.shape[1]
@@ -75,8 +70,6 @@ def scatter(
     global_mean = features.mean(axis=0)
     for i, cls in enumerate(classes):
         members = features[labels == cls]
-        if members.shape[0] == 0:
-            raise EmptyClass(f"class {cls!r} has no samples")
         mean_c = members.mean(axis=0)
         centered = members - mean_c
         within += centered.T @ centered
@@ -107,12 +100,10 @@ def select_k(eigenvalues: np.ndarray, energy: float) -> int:
     return int(min(np.searchsorted(cumulative, energy) + 1, eigenvalues.size))
 
 
-def fit_lda(
-    pair: ScatterPair, energy: float = DEFAULT_ENERGY, ridge: float = DEFAULT_RIDGE
-) -> LdaModel:
+def fit_lda(pair: ScatterPair) -> LdaModel:
     """Solve the generalized scatter eigenproblem and pick K by energy.
 
-    The within-class scatter is always ridged by ridge * trace/d on the
+    The within-class scatter is always ridged by RIDGE * trace/d on the
     diagonal before the Cholesky reduction; singular within-scatter from
     replicate-identical rows would otherwise break the factorization.
     """
@@ -125,7 +116,7 @@ def fit_lda(
     scale = np.trace(within) / d
     if scale <= 0.0:
         scale = 1.0  # degenerate all-identical-rows case: fall back to plain ridge
-    regularized = within + ridge * scale * np.eye(d)
+    regularized = within + RIDGE * scale * np.eye(d)
     try:
         chol = np.linalg.cholesky(regularized)
     except np.linalg.LinAlgError as exc:
@@ -148,12 +139,12 @@ def fit_lda(
         nonzero = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
         if nonzero.size and col[nonzero[0]] < 0:
             directions[:, k] = -col
-    k_selected = select_k(eigvals, energy)
+    k_selected = select_k(eigvals, ENERGY)
     return LdaModel(
         projection=directions[:, :k_selected].copy(),
         eigenvalues=eigvals,
         k_selected=k_selected,
-        ridge=ridge,
+        ridge=RIDGE,
     )
 
 

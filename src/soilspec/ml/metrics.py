@@ -22,7 +22,13 @@ class ClassificationReport:
     macro_f1: float
     macro_recall: float
     confusion: np.ndarray  # (n_classes, n_classes) counts, rows = truth
-    normalized_confusion: np.ndarray  # rows sum to 1 where the class occurs
+
+    def metric_dict(self) -> dict[str, float]:
+        return {
+            "accuracy": self.accuracy,
+            "macro_f1": self.macro_f1,
+            "macro_recall": self.macro_recall,
+        }
 
 
 @dataclass(frozen=True)
@@ -64,17 +70,11 @@ def classification_metrics(
             2.0 * precision * recall / (precision + recall),
             0.0,
         )
-        normalized = np.where(
-            support[:, np.newaxis] > 0,
-            confusion / np.maximum(support, 1)[:, np.newaxis],
-            0.0,
-        )
     return ClassificationReport(
         accuracy=float(correct.sum() / truth.size),
         macro_f1=float(f1[present].mean()),
         macro_recall=float(recall[present].mean()),
         confusion=confusion,
-        normalized_confusion=normalized,
     )
 
 

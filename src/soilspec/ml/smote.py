@@ -1,9 +1,9 @@
 """Minority-class oversampling by segment interpolation (SMOTE).
 
 Every class is brought up to the majority count. Each synthetic point picks
-a random base sample of the class and a random one of its k nearest
-same-class neighbors, then interpolates uniformly along the segment between
-them. Neighbors come from the exact KD-tree search in :mod:`.neighbors`:
+a random base sample of the class and a random one of its K_NEIGHBORS (5)
+nearest same-class neighbors, then interpolates uniformly along the segment
+between them. Neighbors come from the exact KD-tree search in :mod:`.neighbors`:
 ranked by (distance, index), with each point's own row excluded by index,
 so duplicated points still pick each other. Original rows are kept
 unchanged, synthetics are appended grouped by ascending class code.
@@ -17,12 +17,11 @@ from ..errors import ClassTooSmall
 from ..seeding import make_rng
 from .neighbors import as_labels, build_tree, check_finite, check_lengths, k_nearest
 
+K_NEIGHBORS = 5
+
 
 def smote(
-    features: np.ndarray,
-    labels: np.ndarray,
-    k_neighbors: int = 5,
-    seed: int = 0,
+    features: np.ndarray, labels: np.ndarray, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Balance all classes up to the majority count.
 
@@ -47,7 +46,7 @@ def smote(
             continue
         members = np.flatnonzero(labels == cls)
         points = features[members]
-        k = min(k_neighbors, points.shape[0] - 1)
+        k = min(K_NEIGHBORS, points.shape[0] - 1)
         neighbors = k_nearest(build_tree(points), k)
         base = rng.integers(0, points.shape[0], size=deficit)
         pick = rng.integers(0, k, size=deficit)

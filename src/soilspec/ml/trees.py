@@ -12,7 +12,7 @@ row list is always ascending, so the root's stable sort orders each feature
 by (value, row), and filtering it down to a node's rows keeps exactly the
 order a stable sort of that node would give. Gini costs come from exact
 int64 sums of squared class counts; squared-error costs from two cumulative
-sums per target column.
+sums of the single target column.
 
 Forests fit trees serially on bootstrap resamples with per-split feature
 subsampling; every tree draws its own generator from the forest seed. When
@@ -30,7 +30,7 @@ import hashlib
 
 import numpy as np
 
-from ..errors import EmptyTrainingSet, NotFitted
+from ..errors import DimensionMismatch, EmptyTrainingSet, NotFitted
 from ..seeding import derive_seed
 from .neighbors import as_labels, check_finite, check_labels, check_lengths
 
@@ -82,7 +82,7 @@ def build(features, targets, n_classes, max_depth, min_leaf, max_features, rng):
     """Grow one CART tree depth first.
 
     ``targets`` are int64 labels in [0, n_classes) for a Gini tree, or an
-    (n, k) float array for a squared-error tree (``n_classes`` None).
+    (n,) float array for a squared-error tree (``n_classes`` None).
     """
     accumulate, count_nonzero = np.add.accumulate, np.count_nonzero
     n, d = features.shape
@@ -107,15 +107,10 @@ def build(features, targets, n_classes, max_depth, min_leaf, max_features, rng):
         keys = targets.astype(np.uint8) if n_classes <= 256 else targets
         pure = count_nonzero(payload) == 1
     else:
-        target_columns = list(np.ascontiguousarray(targets.T))
-        target_rows = targets
-        if len(target_columns) == 1:
-            # the (n, 1) and the 1-D sums are the same; 1-D calls cost less
-            targets = target_columns[0]
         payload = np.add.reduce(targets) / n
         # a NaN or inf target leaves the root mean non-finite
-        if not np.isfinite(payload).all():
-            check_finite(target_rows, "tree target")
+        if not np.isfinite(payload):
+            check_finite(targets[:, np.newaxis], "tree target")
         pure = not count_nonzero(targets != targets[0])
     if max_features is not None and max_features < d:
         draws = _single_draws(rng, d) if max_features == 1 else None
@@ -174,19 +169,15 @@ def build(features, targets, n_classes, max_depth, min_leaf, max_features, rng):
                 left_sq, right_sq = sums[0, :-1], sums[1, :-1] - total_sq
                 costs = left_sq / left_count + right_sq / right_count
             else:
-                # Summed squared error, one target column at a time; the
-                # columns add left to right.
-                costs = None
-                for column in target_columns:
-                    t = column[order]
-                    s1 = accumulate(t)
-                    s2 = accumulate(t * t)
-                    head, head_sq = s1[:-1], s2[:-1]
-                    tail = s1[-1] - head
-                    sse = (head_sq - head * head / left_count) + (
-                        (s2[-1] - head_sq) - tail * tail / right_count
-                    )
-                    costs = sse if costs is None else costs + sse
+                # summed squared error left plus right
+                t = targets[order]
+                s1 = accumulate(t)
+                s2 = accumulate(t * t)
+                head, head_sq = s1[:-1], s2[:-1]
+                tail = s1[-1] - head
+                costs = (head_sq - head * head / left_count) + (
+                    (s2[-1] - head_sq) - tail * tail / right_count
+                )
             # costs[i]: i + 1 rows go left. Valid only between two distinct
             # values and with min_leaf rows on each side.
             costs[~(xs[1:] > xs[:-1])] = np.inf
@@ -219,8 +210,8 @@ def build(features, targets, n_classes, max_depth, min_leaf, max_features, rng):
             left_payload = np.bincount(targets[left_rows], minlength=n_classes)
             right_payload = total - left_payload
         else:
-            left_targets = targets.take(left_rows, axis=0)
-            right_targets = targets.take(right_rows, axis=0)
+            left_targets = targets.take(left_rows)
+            right_targets = targets.take(right_rows)
             left_payload = np.add.reduce(left_targets) / left_m
             right_payload = np.add.reduce(right_targets) / (m - left_m)
         payloads += (left_payload, right_payload)
@@ -299,31 +290,28 @@ class DecisionTreeClassifier(_DecisionTree):
 
 
 class DecisionTreeRegressor(_DecisionTree):
-    """Greedy variance-reduction CART regressor; leaf predicts the mean."""
+    """Greedy variance-reduction CART regressor over one target column; leaf
+    predicts the mean."""
 
     def fit(self, features, targets, rng=None, max_features=None):
         targets = np.asarray(targets, dtype=np.float64)
-        self._squeeze = targets.ndim == 1
-        if self._squeeze:
-            targets = targets[:, np.newaxis]
+        if targets.ndim > 1:
+            raise DimensionMismatch(f"tree targets must be 1-D, got {targets.shape}")
         return self._grow(features, targets, None, rng, max_features)
 
     def predict(self, features) -> np.ndarray:
-        out = self._fitted().apply(np.asarray(features, dtype=np.float64))
-        return out[:, 0] if self._squeeze else out
+        return self._fitted().apply(np.asarray(features, dtype=np.float64))[:, 0]
 
 
 class _ForestBase:
     """Bootstrap ensemble scaffolding; subclasses define the base tree."""
 
-    def __init__(self, n_trees=20, max_depth=None, min_leaf=1, bootstrap=True,
-                 seed=0):
+    def __init__(self, n_trees=20, max_depth=None, min_leaf=1, seed=0):
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.bootstrap = bootstrap
         self.seed = seed
         self.trees: list = []
 
@@ -335,11 +323,8 @@ class _ForestBase:
 
     def _fit_one(self, index, features, targets, max_features):
         rng = np.random.Generator(np.random.PCG64(derive_seed(self.seed, index)))
-        if self.bootstrap:
-            rows = rng.integers(0, features.shape[0], size=features.shape[0])
-            rows.sort()  # stable row ordering keeps split tie-breaks canonical
-        else:
-            rows = np.arange(features.shape[0])
+        rows = rng.integers(0, features.shape[0], size=features.shape[0])
+        rows.sort()  # stable row ordering keeps split tie-breaks canonical
         tree = self._new_tree()
         tree.fit(features[rows], targets[rows], rng=rng, max_features=max_features)
         return tree
@@ -355,8 +340,6 @@ class _ForestBase:
         check_finite(features, "forest feature")
         check_finite(targets.reshape(targets.shape[0], -1), "forest target")
         max_features = self._feature_count(features.shape[1])
-        if not self.bootstrap and self.n_trees == 1:
-            max_features = None  # a single tree on all rows is a plain tree fit
         self.trees = [
             self._fit_one(i, features, targets, max_features)
             for i in range(self.n_trees)
@@ -379,9 +362,9 @@ class _ForestBase:
 class RandomForestClassifier(_ForestBase):
     """Majority vote over Gini trees; ceil(sqrt(d)) features per split."""
 
-    def __init__(self, n_trees=20, max_depth=None, min_leaf=1, bootstrap=True,
-                 seed=0, n_classes=None):
-        super().__init__(n_trees, max_depth, min_leaf, bootstrap, seed)
+    def __init__(self, n_trees=20, max_depth=None, min_leaf=1, seed=0,
+                 n_classes=None):
+        super().__init__(n_trees, max_depth, min_leaf, seed)
         self.n_classes = n_classes
 
     def _feature_count(self, n_features):

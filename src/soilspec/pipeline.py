@@ -56,9 +56,8 @@ def _family(strategy: int) -> int:
 
 @dataclass(frozen=True)
 class CvPlan:
-    """Fold assignment: observation index -> fold id in 1..n_folds."""
+    """Fold assignment: observation index -> fold id in 1..N_FOLDS."""
 
-    n_folds: int
     seed: int
     granularity: str  # "block" | "specimen"
     assignment: np.ndarray  # (n,) int
@@ -74,10 +73,9 @@ def make_folds(
     table: ObservationTable,
     seed: int,
     granularity: str = "block",
-    n_folds: int = N_FOLDS,
     stratify: bool = False,
 ) -> CvPlan:
-    """Partition rows into mutually exclusive, jointly exhaustive folds.
+    """Partition rows into N_FOLDS mutually exclusive, jointly exhaustive folds.
 
     Block granularity assigns rows independently (fold sizes differ by at
     most one); specimen granularity keeps all 100 blocks of a specimen in
@@ -95,13 +93,13 @@ def make_folds(
             for code in np.unique(table.texture_codes):
                 members = np.flatnonzero(table.texture_codes == code)
                 members = rng.permutation(members)
-                folds = (np.arange(position, position + members.size) % n_folds) + 1
+                folds = (np.arange(position, position + members.size) % N_FOLDS) + 1
                 assignment[members] = folds
                 position += members.size
         else:
             order = rng.permutation(n)
-            sizes = np.full(n_folds, n // n_folds, dtype=np.int64)
-            sizes[: n % n_folds] += 1
+            sizes = np.full(N_FOLDS, n // N_FOLDS, dtype=np.int64)
+            sizes[: n % N_FOLDS] += 1
             start = 0
             for fold, size in enumerate(sizes, start=1):
                 assignment[order[start : start + size]] = fold
@@ -110,8 +108,8 @@ def make_folds(
         # first-appearance order; a "U" array would drop trailing NULs
         ids = list(dict.fromkeys(table.specimen_ids.tolist()))
         order = rng.permutation(len(ids))
-        sizes = np.full(n_folds, len(ids) // n_folds, dtype=np.int64)
-        sizes[: len(ids) % n_folds] += 1
+        sizes = np.full(N_FOLDS, len(ids) // N_FOLDS, dtype=np.int64)
+        sizes[: len(ids) % N_FOLDS] += 1
         specimen_fold = {}
         start = 0
         for fold, size in enumerate(sizes, start=1):
@@ -123,9 +121,7 @@ def make_folds(
         )
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
-    return CvPlan(
-        n_folds=n_folds, seed=seed, granularity=granularity, assignment=assignment
-    )
+    return CvPlan(seed=seed, granularity=granularity, assignment=assignment)
 
 
 @dataclass(frozen=True)
@@ -352,19 +348,7 @@ class StrategyResult:
     fold_reports: list = field(default_factory=list)
 
     def fold_metrics(self) -> list[dict[str, float]]:
-        out = []
-        for report in self.fold_reports:
-            if isinstance(report, ClassificationReport):
-                out.append(
-                    {
-                        "accuracy": report.accuracy,
-                        "macro_f1": report.macro_f1,
-                        "macro_recall": report.macro_recall,
-                    }
-                )
-            else:
-                out.append(report.metric_dict())
-        return out
+        return [report.metric_dict() for report in self.fold_reports]
 
     def aggregates(self) -> dict[str, tuple[float, float]]:
         """Mean and population std (over the fold count) of every metric."""
@@ -420,7 +404,7 @@ def run_strategies(
     families = {}
     for strategy in strategies:
         families.setdefault(_family(strategy), []).append(strategy)
-    for fold in range(1, plan.n_folds + 1):
+    for fold in range(1, N_FOLDS + 1):
         train_index = plan.train_index(fold)
         test_index = plan.test_index(fold)
         for family, members in sorted(families.items()):

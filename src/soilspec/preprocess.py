@@ -90,11 +90,11 @@ def dark_correct(cube: SpectralCube | np.ndarray, dark: DarkFrame | np.ndarray) 
 
 
 def _window(roi: Roi) -> tuple[slice, slice]:
-    return slice(roi.y1, roi.y1 + roi.side), slice(roi.x1, roi.x1 + roi.side)
+    return slice(roi.y1, roi.y1 + ROI_SIDE), slice(roi.x1, roi.x1 + ROI_SIDE)
 
 
 def crop_roi(cube: SpectralCube | np.ndarray, roi: Roi) -> np.ndarray:
-    """Crop the same window from every band: rows [y1, y1+side), cols [x1, x1+side)."""
+    """Crop the same ROI_SIDE-square window at (x1, y1) from every band."""
     planes = _as_planes(cube)
     _, height, width = planes.shape
     roi.check_fits(height, width)

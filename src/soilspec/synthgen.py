@@ -85,10 +85,9 @@ _SCRATCH = threading.local()
 
 @dataclass(frozen=True)
 class EndmemberLibrary:
-    """Spectra (rows: clayrich, siltrich, sandrich) and their compositions."""
+    """Spectra of the three endmembers (rows: clayrich, siltrich, sandrich)."""
 
     spectra: np.ndarray  # (3, 13) reflectance levels in (0, 1023)
-    compositions: tuple[Composition, ...] = ENDMEMBER_COMPOSITIONS
 
     def __post_init__(self) -> None:
         spectra = np.asarray(self.spectra, dtype=np.float64)
@@ -361,11 +360,8 @@ def generate_dataset(
             cube_path=rel_path,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(render, plan))
-    else:
-        entries = [render(item) for item in plan]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        entries = list(pool.map(render, plan))
 
     manifest_path = out_dir / "manifest.csv"
     write_csv_rows(
@@ -483,11 +479,8 @@ def extract_tables(
             entry.specimen_id,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(process, entries))
-    else:
-        results = [process(entry) for entry in entries]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(process, entries))
 
     tables = {}
     for role in ("train", "validation"):

@@ -142,7 +142,7 @@ def normalize_prediction(clay: float, silt: float, sand: float) -> Composition:
         raise AllNonPositive(
             f"no positive component in ({clay}, {silt}, {sand})"
         ) from None
-    return Composition(float(clay_n), float(silt_n), float(sand_n), predicted=True)
+    return Composition(float(clay_n), float(silt_n), float(sand_n))
 
 
 def normalize_predictions(triples: np.ndarray) -> np.ndarray:

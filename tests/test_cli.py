@@ -216,6 +216,37 @@ class TestUsageErrors:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "features").exists()
 
+    @pytest.mark.parametrize("value", ["0,1", "1,-1", "-1,0", "1", "a,1"])
+    def test_bad_replicates_exit_two(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out", str(tmp_path / "data"), f"--replicates={value}"])
+        assert exc.value.code == 2
+        assert "--replicates" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-4", "x"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate"], ["extract", "--data", "d"], ["evaluate", "--features", "f"]],
+        ids=["generate", "extract", "evaluate"],
+    )
+    def test_bad_threads_exit_two(self, tmp_path, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out"), "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_non_positive_threads_env_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                value):
+        monkeypatch.setenv("SOILSPEC_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out", str(tmp_path / "data")])
+        assert exc.value.code == 2
+        assert "SOILSPEC_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_bad_threads_env_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SOILSPEC_THREADS", "x")
         with pytest.raises(SystemExit) as exc:
@@ -231,6 +262,49 @@ class TestUsageErrors:
             capsys,
         )
         assert code == 1
+
+
+# extract's run_config.json for `--data ./d/ --out f//`: --data is recorded
+# as typed, --out as the parsed path
+EXTRACT_RUN_CONFIG = """{
+  "command": "extract",
+  "params": {
+    "data": "./d/",
+    "kappa": 0.03,
+    "out": "f",
+    "roi": [
+      10,
+      10
+    ],
+    "threads": 1
+  }
+}
+"""
+
+
+class TestProvenance:
+    def test_run_config_records_every_argument(self, tmp_path, monkeypatch, capsys):
+        from soilspec.cli import build_parser
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SOILSPEC_THREADS", raising=False)
+        commands = {
+            "generate": ["--seed", "3", "--replicates", "1,0", "--out", "./d/"],
+            "extract": ["--data", "./d/", "--out", "f//"],
+            "evaluate": ["--features", "f//", "--out", "r//", "--models", "dt",
+                         "--strategies", "1"],
+            "signatures": ["--features", "f//train.csv", "--out", "s/"],
+        }
+        outputs = {"generate": "d", "extract": "f", "evaluate": "r", "signatures": "s"}
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        for command, argv in commands.items():
+            assert main([command, *argv]) == 0
+            config = json.loads((tmp_path / outputs[command] / "run_config.json")
+                                .read_text())
+            dests = {a.dest for a in subparsers[command]._actions} - {"help"}
+            assert config["command"] == command
+            assert set(config["params"]) == dests, command
+        assert (tmp_path / "f" / "run_config.json").read_text() == EXTRACT_RUN_CONFIG
 
 
 def long_quoted_first_id(raw):

@@ -102,6 +102,14 @@ class TestCubeContainer:
         with pytest.raises(BandCountMismatch):
             read_cube(path)
 
+    def test_reader_rejects_a_wrong_wavelength_table(self, tmp_path):
+        # the reader is the only guard: a cube carries no wavelength table
+        bands = (366,) + BAND_WAVELENGTHS_NM[1:]
+        path = tmp_path / "bands.msc"
+        path.write_bytes(msc1_reference(bands, np.zeros((N_BANDS, 2, 2))))
+        with pytest.raises(MalformedHeader, match=r"bands\.msc: wavelength table \(366,"):
+            read_cube(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "trunc.msc"
         write_cube(make_cube(), path)
@@ -122,13 +130,6 @@ class TestCubeContainer:
         planes[0, 0, 0] = 1024
         with pytest.raises(IntensityOverflow):
             SpectralCube(planes=planes)
-
-    def test_wrong_wavelength_table(self):
-        planes = np.zeros((N_BANDS, 2, 2), dtype=np.uint16)
-        bands = list(BAND_WAVELENGTHS_NM)
-        bands[0] = 366
-        with pytest.raises(MalformedHeader):
-            SpectralCube(planes=planes, wavelengths_nm=tuple(bands))
 
     def test_dark_frame_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -161,9 +162,6 @@ class TestComposition:
     def test_component_above_hundred(self):
         with pytest.raises(NegativeComponent):
             validate_composition(101, -0.5, -0.5)
-
-    def test_measured_flag_default(self):
-        assert validate_composition(30, 30, 40).predicted is False
 
     @settings(max_examples=100, deadline=None)
     @given(clay=st.floats(0, 100), silt=st.floats(0, 100))

@@ -4,7 +4,6 @@ from scipy.linalg import subspace_angles
 
 from soilspec.errors import (
     DimensionMismatch,
-    EmptyClass,
     NumericalFailure,
     SingleClass,
 )
@@ -53,10 +52,6 @@ class TestScatter:
     def test_single_class(self):
         with pytest.raises(SingleClass):
             scatter(np.zeros((3, 2)), np.zeros(3, dtype=int))
-
-    def test_empty_class(self):
-        with pytest.raises(EmptyClass):
-            scatter(np.zeros((3, 2)), np.array([0, 0, 1]), classes=[0, 1, 2])
 
     def test_symmetry(self):
         rng = np.random.default_rng(22)

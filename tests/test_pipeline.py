@@ -3,8 +3,10 @@ import pytest
 
 from soilspec.core import N_BANDS, ObservationTable
 from soilspec.errors import SpecimenOverlap
+from soilspec.ml import classification_metrics, regression_metrics
 from soilspec.pipeline import (
     ModelSpec,
+    StrategyResult,
     evaluate_fold,
     fit_fold,
     make_folds,
@@ -317,6 +319,28 @@ class TestExternalValidation:
         table = cluster_table(seed=27)
         with pytest.raises(SpecimenOverlap):
             run_external_validation(table, table, ModelSpec("knn"))
+
+
+class TestPooledConfusion:
+    def test_rows_with_support_sum_to_one_and_absent_classes_are_zero(self):
+        rng = np.random.default_rng(67)
+        result = StrategyResult(strategy=1, model="knn")
+        for _ in range(5):
+            truth = rng.integers(0, 9, 100)  # classes 9..11 never occur
+            predicted = rng.integers(0, 12, 100)
+            result.fold_reports.append(classification_metrics(truth, predicted))
+        pooled = result.pooled_confusion()
+        counts = sum(report.confusion for report in result.fold_reports)
+        support = counts.sum(axis=1)
+        assert support[:9].all() and not support[9:].any()
+        assert np.allclose(pooled[:9].sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(pooled[9:] == 0.0)
+        assert np.allclose(pooled * support[:, np.newaxis], counts, atol=1e-9)
+
+    def test_regression_results_have_none(self):
+        truth = np.array([[10.0, 20.0, 70.0], [30.0, 30.0, 40.0]])
+        result = StrategyResult(2, "dt", [regression_metrics(truth, truth)])
+        assert result.pooled_confusion() is None
 
 
 class TestResultCsv:

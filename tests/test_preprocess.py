@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soilspec.core import N_BANDS, DarkFrame, Roi, SpectralCube
+from soilspec.core import N_BANDS, ROI_SIDE, DarkFrame, Roi, SpectralCube
 from soilspec.errors import DimensionMismatch, RoiOutOfBounds
 from soilspec.preprocess import (
     BandStats,
@@ -224,7 +224,7 @@ def reference_preprocess(cube, dark, roi, kappa):
     """The allocating stage-by-stage form: correct the whole frame, crop,
     then normalize each band out of place."""
     corrected = np.abs(cube.planes.astype(np.float64) - dark.plane.astype(np.float64))
-    cropped = corrected[:, roi.y1 : roi.y1 + roi.side, roi.x1 : roi.x1 + roi.side]
+    cropped = corrected[:, roi.y1 : roi.y1 + ROI_SIDE, roi.x1 : roi.x1 + ROI_SIDE]
     out = np.empty(cropped.shape)
     stats = []
     for i, plane in enumerate(cropped.copy()):

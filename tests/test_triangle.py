@@ -52,7 +52,7 @@ class TestClassification:
         from soilspec.core import Composition
 
         with pytest.raises(OffSimplex):
-            classify_composition(Composition(50.0, 40.0, 20.0, predicted=True))
+            classify_composition(Composition(50.0, 40.0, 20.0))
 
     def test_vectorized_agrees_with_scalar(self):
         rng = np.random.default_rng(41)
@@ -139,7 +139,6 @@ class TestNormalizePrediction:
     def test_already_valid_unchanged(self):
         comp = normalize_prediction(40.0, 40.0, 20.0)
         assert (comp.clay_pct, comp.silt_pct, comp.sand_pct) == (40.0, 40.0, 20.0)
-        assert comp.predicted is True
 
     def test_uniform_rescale(self):
         comp = normalize_prediction(50.0, 50.0, 50.0)
