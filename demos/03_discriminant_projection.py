@@ -39,7 +39,7 @@ for name, labels in (
     model = fit_lda(pair)
     shares = model.eigenvalues / model.eigenvalues.sum()
     kept = ", ".join(f"{s:.4f}" for s in shares[: model.k_selected + 2])
-    print(f"supervision: {name} ({pair.classes.size} classes)")
+    print(f"supervision: {name} ({np.unique(labels).size} classes)")
     print(f"  eigenvalue shares: {kept}, ...")
     print(f"  99% energy keeps K = {model.k_selected} of "
           f"{model.eigenvalues.size} directions")

@@ -44,22 +44,25 @@ def _threads(args) -> int:
     return _positive_int(env) if env else 1
 
 
-def _parse_pair(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"{flag} expects two comma-separated ints")
-    return int(parts[0]), int(parts[1])
+def _parse_pair(text: str) -> tuple[int, int]:
+    try:
+        first, second = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated integers, got {text!r}"
+        ) from None
+    return first, second
 
 
 def _parse_roi(text: str) -> tuple[int, int]:
-    x, y = _parse_pair(text, "--roi")
+    x, y = _parse_pair(text)
     if x < 0 or y < 0:
         raise argparse.ArgumentTypeError(f"expected non-negative ints, got {text!r}")
     return x, y
 
 
 def _parse_replicates(text: str) -> tuple[int, int]:
-    train, validation = _parse_pair(text, "--replicates")
+    train, validation = _parse_pair(text)
     if train < 1 or validation < 0:
         raise argparse.ArgumentTypeError(
             f"expected TRAIN >= 1 and VAL >= 0, got {text!r}"
@@ -68,7 +71,10 @@ def _parse_replicates(text: str) -> tuple[int, int]:
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)  # argparse reports a ValueError as an invalid value
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
@@ -140,9 +146,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    features_dir, out_dir = args.features, args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table = read_observation_csv(features_dir / "train.csv")
+    args.out.mkdir(parents=True, exist_ok=True)
+    table = read_observation_csv(args.features / "train.csv")
+    if args.external_validation:  # fail before the cross-validation runs
+        validation = read_observation_csv(args.features / "validation.csv")
     plan = pipeline.make_folds(
         table, seed=args.seed, granularity=args.granularity, stratify=args.stratify
     )
@@ -163,18 +170,17 @@ def cmd_evaluate(args) -> int:
     for (strategy, name), result in results.items():
         if result.pooled_confusion() is not None:
             pipeline.write_confusion_csv(
-                result, out_dir / f"confusion_s{strategy}_{name}.csv"
+                result, args.out / f"confusion_s{strategy}_{name}.csv"
             )
-    pipeline.write_results_csv(list(results.values()), out_dir / "results.csv")
-    pipeline.write_aggregate_csv(list(results.values()), out_dir / "aggregate.csv")
+    pipeline.write_results_csv(list(results.values()), args.out / "results.csv")
+    pipeline.write_aggregate_csv(list(results.values()), args.out / "aggregate.csv")
     if args.external_validation:
-        validation = read_observation_csv(features_dir / "validation.csv")
         reports = pipeline.run_external_validation(
             table, validation, *specs, seed=args.seed
         )
-        pipeline.write_external_csv(reports, out_dir / "external_validation.csv")
+        pipeline.write_external_csv(reports, args.out / "external_validation.csv")
     _write_run_config(args)
-    print(out_dir / "aggregate.csv")
+    print(args.out / "aggregate.csv")
     return 0
 
 
@@ -292,10 +298,7 @@ def main(argv=None) -> int:
             parser.error(f"{THREADS_ENV}: {exc}")
     try:
         return args.func(args)
-    except SoilspecError as exc:
-        print(f"soilspec {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SoilspecError, OSError) as exc:
         print(f"soilspec {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -98,9 +98,6 @@ class Composition:
     def as_array(self) -> np.ndarray:
         return np.array([self.clay_pct, self.silt_pct, self.sand_pct])
 
-    def total(self) -> float:
-        return self.clay_pct + self.silt_pct + self.sand_pct
-
 
 def validate_composition(clay: float, silt: float, sand: float) -> Composition:
     """Build a measured composition, enforcing the 100% simplex constraint."""
@@ -154,14 +151,6 @@ class SpectralCube:
         _check_intensities(planes)
         object.__setattr__(self, "planes", planes)
 
-    @property
-    def height(self) -> int:
-        return self.planes.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.planes.shape[2]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectralCube):
             return NotImplemented
@@ -182,14 +171,6 @@ class DarkFrame:
             raise DimensionMismatch(f"dark frame must be 2-D, got {plane.shape}")
         _check_intensities(plane)
         object.__setattr__(self, "plane", plane)
-
-    @property
-    def height(self) -> int:
-        return self.plane.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.plane.shape[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DarkFrame):

@@ -117,3 +117,7 @@ class ConstantTruth(SoilspecError):
 
 class SpecimenOverlap(SoilspecError):
     """Train and external-validation tables share specimen ids."""
+
+
+class FoldPlanError(SoilspecError):
+    """Too few units for N_FOLDS folds, or a specimen of mixed texture."""

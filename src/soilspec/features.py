@@ -55,37 +55,25 @@ def flatten_observations(
     Each specimen contributes 100 rows that share its composition, texture
     class, and id; block_row/block_col record the grid position (1..10).
     """
-    ids, rows, cols, feats, comps, codes = [], [], [], [], [], []
-    grid_rows = np.repeat(np.arange(1, BLOCK_GRID + 1), BLOCK_GRID)
-    grid_cols = np.tile(np.arange(1, BLOCK_GRID + 1), BLOCK_GRID)
-    for matrix, composition, texture, specimen_id in specimens:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != (BLOCKS_PER_SPECIMEN, N_BANDS):
+    specimens = list(specimens)
+    for matrix, _, _, specimen_id in specimens:
+        if np.shape(matrix) != (BLOCKS_PER_SPECIMEN, N_BANDS):
             raise DimensionMismatch(
-                f"feature matrix for {specimen_id!r} has shape {matrix.shape}"
+                f"feature matrix for {specimen_id!r} has shape {np.shape(matrix)}"
             )
-        ids.append(np.full(BLOCKS_PER_SPECIMEN, specimen_id, dtype=object))
-        rows.append(grid_rows)
-        cols.append(grid_cols)
-        feats.append(matrix)
-        comps.append(np.tile(composition.as_array(), (BLOCKS_PER_SPECIMEN, 1)))
-        codes.append(np.full(BLOCKS_PER_SPECIMEN, texture.index, dtype=np.int64))
-    if not ids:
-        return ObservationTable(
-            specimen_ids=np.empty(0, dtype=object),
-            block_rows=np.empty(0, dtype=np.int64),
-            block_cols=np.empty(0, dtype=np.int64),
-            features=np.empty((0, N_BANDS)),
-            compositions=np.empty((0, 3)),
-            texture_codes=np.empty(0, dtype=np.int64),
-        )
+    features = np.array([s[0] for s in specimens], dtype=np.float64)
+    grid = np.arange(1, BLOCK_GRID + 1)
     return ObservationTable(
-        specimen_ids=np.concatenate(ids),
-        block_rows=np.concatenate(rows),
-        block_cols=np.concatenate(cols),
-        features=np.vstack(feats),
-        compositions=np.vstack(comps),
-        texture_codes=np.concatenate(codes),
+        specimen_ids=np.repeat(
+            np.array([s[3] for s in specimens], dtype=object), BLOCKS_PER_SPECIMEN
+        ),
+        block_rows=np.tile(np.repeat(grid, BLOCK_GRID), len(specimens)),
+        block_cols=np.tile(grid, BLOCK_GRID * len(specimens)),
+        features=features.reshape(-1, N_BANDS),
+        compositions=np.repeat(
+            [s[1].as_array() for s in specimens], BLOCKS_PER_SPECIMEN, axis=0
+        ).reshape(-1, 3),
+        texture_codes=np.repeat([s[2].index for s in specimens], BLOCKS_PER_SPECIMEN),
     )
 
 
@@ -154,10 +142,7 @@ def group_signatures(
         raise ValueError(f"unknown grouping {grouping!r}")
     means = np.empty((present.size, N_BANDS), dtype=np.float64)
     for i, code in enumerate(present):
-        members = table.features[codes == code]
-        if members.shape[0] == 0:
-            raise EmptyGroup(f"group {labels[i]!r} has no rows")
-        means[i] = members.mean(axis=0)
+        means[i] = table.features[codes == code].mean(axis=0)
     return labels, means
 
 

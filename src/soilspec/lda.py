@@ -21,14 +21,10 @@ ENERGY = 0.99
 
 @dataclass(frozen=True)
 class ScatterPair:
-    """Within/between-class scatter matrices plus the pieces they came from."""
+    """Within- and between-class scatter matrices."""
 
     within: np.ndarray  # (d, d)
     between: np.ndarray  # (d, d)
-    class_means: np.ndarray  # (C, d)
-    global_mean: np.ndarray  # (d,)
-    class_counts: np.ndarray  # (C,)
-    classes: np.ndarray  # (C,) original label values
 
 
 @dataclass(frozen=True)
@@ -65,29 +61,18 @@ def scatter(features: np.ndarray, labels: np.ndarray) -> ScatterPair:
     d = features.shape[1]
     within = np.zeros((d, d))
     between = np.zeros((d, d))
-    class_means = np.empty((classes.size, d))
-    class_counts = np.empty(classes.size, dtype=np.int64)
     global_mean = features.mean(axis=0)
-    for i, cls in enumerate(classes):
+    for cls in classes:
         members = features[labels == cls]
         mean_c = members.mean(axis=0)
         centered = members - mean_c
         within += centered.T @ centered
         offset = mean_c - global_mean
         between += members.shape[0] * np.outer(offset, offset)
-        class_means[i] = mean_c
-        class_counts[i] = members.shape[0]
     # Exact symmetry keeps downstream eigensolves deterministic.
     within = (within + within.T) / 2.0
     between = (between + between.T) / 2.0
-    return ScatterPair(
-        within=within,
-        between=between,
-        class_means=class_means,
-        global_mean=global_mean,
-        class_counts=class_counts,
-        classes=classes,
-    )
+    return ScatterPair(within=within, between=between)
 
 
 def select_k(eigenvalues: np.ndarray, energy: float) -> int:

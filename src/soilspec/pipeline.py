@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import N_CLASSES, ObservationTable, TextureClass
 from .cubeio import fmt_float, write_csv_rows
-from .errors import OffSimplex, SpecimenOverlap
+from .errors import FoldPlanError, OffSimplex, SpecimenOverlap
 from .features import MinMaxScaler, composition_group_labels
 from .lda import LdaModel, fit_lda, project, scatter
 from .ml import (
@@ -59,7 +59,6 @@ class CvPlan:
     """Fold assignment: observation index -> fold id in 1..N_FOLDS."""
 
     seed: int
-    granularity: str  # "block" | "specimen"
     assignment: np.ndarray  # (n,) int
 
     def train_index(self, fold: int) -> np.ndarray:
@@ -77,51 +76,50 @@ def make_folds(
 ) -> CvPlan:
     """Partition rows into N_FOLDS mutually exclusive, jointly exhaustive folds.
 
-    Block granularity assigns rows independently (fold sizes differ by at
-    most one); specimen granularity keeps all 100 blocks of a specimen in
-    one fold. Stratified block assignment deals each texture class
-    round-robin across folds.
+    Folds are dealt over units: rows at block granularity, specimens (all
+    their blocks together) at specimen granularity. Unstratified plans deal
+    one permutation of the units in contiguous runs whose sizes differ by at
+    most one; stratified plans permute each texture class in ascending
+    class order and deal the units round-robin, so per class the fold counts
+    differ by at most one.
     """
-    n = len(table)
-    if n == 0:
-        raise ValueError("cannot fold an empty table")
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
-    assignment = np.empty(n, dtype=np.int64)
     if granularity == "block":
-        if stratify:
-            position = 0
-            for code in np.unique(table.texture_codes):
-                members = np.flatnonzero(table.texture_codes == code)
-                members = rng.permutation(members)
-                folds = (np.arange(position, position + members.size) % N_FOLDS) + 1
-                assignment[members] = folds
-                position += members.size
-        else:
-            order = rng.permutation(n)
-            sizes = np.full(N_FOLDS, n // N_FOLDS, dtype=np.int64)
-            sizes[: n % N_FOLDS] += 1
-            start = 0
-            for fold, size in enumerate(sizes, start=1):
-                assignment[order[start : start + size]] = fold
-                start += size
+        unit = np.arange(len(table))
     elif granularity == "specimen":
         # first-appearance order; a "U" array would drop trailing NULs
-        ids = list(dict.fromkeys(table.specimen_ids.tolist()))
-        order = rng.permutation(len(ids))
-        sizes = np.full(N_FOLDS, len(ids) // N_FOLDS, dtype=np.int64)
-        sizes[: len(ids) % N_FOLDS] += 1
-        specimen_fold = {}
-        start = 0
-        for fold, size in enumerate(sizes, start=1):
-            for pos in order[start : start + size]:
-                specimen_fold[ids[pos]] = fold
-            start += size
-        assignment = np.array(
-            [specimen_fold[s] for s in table.specimen_ids.tolist()], dtype=np.int64
+        first: dict = {}
+        unit = np.array(
+            [first.setdefault(s, len(first)) for s in table.specimen_ids.tolist()],
+            dtype=np.int64,
         )
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
-    return CvPlan(seed=seed, granularity=granularity, assignment=assignment)
+    count = int(unit.max(initial=-1)) + 1
+    if count < N_FOLDS:
+        raise FoldPlanError(
+            f"{count} {granularity}s cannot fill N_FOLDS = {N_FOLDS} folds"
+        )
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
+    if stratify:
+        codes = np.empty(count, dtype=np.int64)
+        codes[unit] = table.texture_codes
+        mixed = np.flatnonzero(codes[unit] != table.texture_codes)
+        if mixed.size:
+            raise FoldPlanError(
+                f"specimen {table.specimen_ids[mixed[0]]!r} has blocks of more "
+                "than one texture class; cannot stratify it"
+            )
+        order = np.concatenate(
+            [rng.permutation(np.flatnonzero(codes == c)) for c in np.unique(codes)]
+        )
+        dealt = np.arange(count) % N_FOLDS + 1
+    else:
+        order = rng.permutation(count)
+        sizes = count // N_FOLDS + (np.arange(N_FOLDS) < count % N_FOLDS)
+        dealt = np.repeat(np.arange(1, N_FOLDS + 1), sizes)
+    unit_fold = np.empty(count, dtype=np.int64)
+    unit_fold[order] = dealt
+    return CvPlan(seed=seed, assignment=unit_fold[unit])
 
 
 @dataclass(frozen=True)
@@ -159,8 +157,8 @@ def _make_classifier(spec: ModelSpec, seed: int):
 class _PerComponentRegressor:
     """Three independent single-output regressors, one per composition part."""
 
-    def __init__(self, makers):
-        self.models = [maker() for maker in makers]
+    def __init__(self, models):
+        self.models = models
 
     def fit(self, features, targets):
         for i, model in enumerate(self.models):
@@ -185,25 +183,19 @@ def _make_regressor(spec: ModelSpec, seed: int):
     if spec.name == "knn":
         return KnnRegressor(k=spec.k, n_jobs=spec.n_jobs)
     if spec.name == "rf":
-        return _PerComponentRegressor(
-            [
-                lambda i=i: RandomForestRegressor(
-                    n_trees=spec.n_trees,
-                    max_depth=spec.max_depth,
-                    min_leaf=spec.min_leaf,
-                    seed=derive_seed(seed, i),
-                )
-                for i in range(3)
-            ]
-        )
-    return _PerComponentRegressor(
-        [
-            lambda: DecisionTreeRegressor(
-                max_depth=spec.max_depth, min_leaf=spec.min_leaf
+        return _PerComponentRegressor([
+            RandomForestRegressor(
+                n_trees=spec.n_trees,
+                max_depth=spec.max_depth,
+                min_leaf=spec.min_leaf,
+                seed=derive_seed(seed, i),
             )
-            for _ in range(3)
-        ]
-    )
+            for i in range(3)
+        ])
+    return _PerComponentRegressor([
+        DecisionTreeRegressor(max_depth=spec.max_depth, min_leaf=spec.min_leaf)
+        for _ in range(3)
+    ])
 
 
 def _digest(*arrays) -> str:

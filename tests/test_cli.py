@@ -255,6 +255,33 @@ class TestUsageErrors:
         assert "SOILSPEC_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("garbage", ["abc", "a,1", "1,a", "", "1,2,x"])
+    def test_typed_flags_reject_garbage_by_name(self, tmp_path, capsys, garbage):
+        from soilspec.cli import build_parser
+
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        checked = set()
+        for command, subparser in subparsers.items():
+            required = [
+                arg
+                for a in subparser._actions if a.required
+                for arg in (a.option_strings[-1], str(tmp_path / a.dest))
+            ]
+            for action in subparser._actions:
+                if getattr(action.type, "__module__", None) != "soilspec.cli":
+                    continue
+                flag = action.option_strings[-1]
+                with pytest.raises(SystemExit) as exc:
+                    main([command, *required, f"{flag}={garbage}"])
+                err = capsys.readouterr().err
+                assert exc.value.code == 2, (command, flag)
+                assert f"argument {flag}: expected" in err, (command, flag)
+                assert "_parse" not in err and "_positive" not in err, err
+                checked.add(action.type.__name__)
+        assert checked == {"_parse_replicates", "_parse_roi", "_positive_float",
+                           "_positive_int", "_parse_models", "_parse_strategies"}
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_features_dir_is_domain_error(self, tmp_path, capsys):
         code, _, err = run(
             ["evaluate", "--features", str(tmp_path / "nope"),
@@ -474,6 +501,39 @@ class TestEndToEnd:
             assert code == 0
             outputs.append((out / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_missing_validation_csv_fails_before_cross_validation(
+        self, tiny_run, tmp_path, capsys
+    ):
+        base, data, features = tiny_run
+        (tmp_path / "train.csv").write_bytes((features / "train.csv").read_bytes())
+        out = tmp_path / "results"
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out", str(out),
+             "--models", "knn", "--strategies", "1", "--external-validation"],
+            capsys,
+        )
+        assert code == 1
+        assert "validation.csv" in err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "granularity, lines, message",
+        [("block", 3, "3 blocks"), ("specimen", 300, "3 specimens")],
+    )
+    def test_too_few_units_for_five_folds(self, tiny_run, tmp_path, capsys,
+                                          granularity, lines, message):
+        base, data, features = tiny_run
+        rows = (features / "train.csv").read_bytes().splitlines(keepends=True)
+        (tmp_path / "train.csv").write_bytes(b"".join(rows[: 1 + lines]))
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out",
+             str(tmp_path / "results"), "--models", "knn", "--strategies", "1",
+             "--granularity", granularity],
+            capsys,
+        )
+        assert code == 1
+        assert f"{message} cannot fill N_FOLDS = 5 folds" in err
 
     def test_header_only_train_csv_names_the_file(self, tiny_run, tmp_path, capsys):
         base, data, features = tiny_run

@@ -170,7 +170,7 @@ class TestComposition:
         if sand < 0:
             return
         comp = validate_composition(clay, silt, sand)
-        assert abs(comp.total() - 100.0) <= 1e-6
+        assert abs(comp.as_array().sum() - 100.0) <= 1e-6
 
 
 class TestTextureClass:

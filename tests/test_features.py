@@ -88,6 +88,39 @@ class TestFlattenObservations:
         table = flatten_observations([self._specimen(f"v{i}") for i in range(84)])
         assert len(table) == 8_400
 
+    def test_matches_a_per_specimen_loop(self):
+        rng = np.random.default_rng(3)
+        specimens = [
+            (rng.random((100, N_BANDS)), validate_composition(*comp), texture, sid)
+            for comp, texture, sid in [
+                ((20.0, 30.0, 50.0), TextureClass.LOAM, "a"),
+                ((60.0, 20.0, 20.0), TextureClass.CLAY, "b"),
+                ((5.0, 5.0, 90.0), TextureClass.SAND, "c"),
+            ]
+        ]
+        table = flatten_observations(iter(specimens))
+        u, v = np.divmod(np.arange(100), 10)
+        for i, (matrix, comp, texture, sid) in enumerate(specimens):
+            rows = slice(100 * i, 100 * (i + 1))
+            assert table.specimen_ids[rows].tolist() == [sid] * 100
+            assert np.array_equal(table.block_rows[rows], u + 1)
+            assert np.array_equal(table.block_cols[rows], v + 1)
+            assert np.array_equal(table.features[rows], matrix)
+            assert np.array_equal(table.compositions[rows],
+                                  np.tile(comp.as_array(), (100, 1)))
+            assert np.all(table.texture_codes[rows] == texture.index)
+
+    def test_ids_kept_as_given(self):
+        # a "U" array would drop the trailing NUL and merge the two specimens
+        table = flatten_observations([self._specimen("a"), self._specimen("a\x00")])
+        assert table.specimen_ids.tolist() == ["a"] * 100 + ["a\x00"] * 100
+
+    def test_no_specimens_give_an_empty_table(self):
+        table = flatten_observations([])
+        assert len(table) == 0
+        assert table.features.shape == (0, N_BANDS)
+        assert table.compositions.shape == (0, 3)
+
     def test_row_block_correspondence(self):
         matrix = np.arange(100 * N_BANDS, dtype=float).reshape(100, N_BANDS)
         table = flatten_observations(

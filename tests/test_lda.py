@@ -155,9 +155,11 @@ class TestFitLda:
         ratio_scaled = scaled.eigenvalues / scaled.eigenvalues.sum()
         assert np.allclose(ratio_base, ratio_scaled, atol=1e-9)
         # class centroid ordering along the leading direction is preserved
-        pair = scatter(features, labels)
-        centroids = pair.class_means @ base.projection[:, 0]
-        centroids_scaled = (pair.class_means * 37.5) @ scaled.projection[:, 0]
+        class_means = np.stack(
+            [features[labels == c].mean(axis=0) for c in np.unique(labels)]
+        )
+        centroids = class_means @ base.projection[:, 0]
+        centroids_scaled = (class_means * 37.5) @ scaled.projection[:, 0]
         assert np.array_equal(
             np.argsort(centroids, kind="stable"),
             np.argsort(centroids_scaled, kind="stable"),

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from soilspec.core import N_BANDS, ObservationTable
-from soilspec.errors import SpecimenOverlap
+from soilspec.errors import FoldPlanError, SpecimenOverlap
 from soilspec.ml import classification_metrics, regression_metrics
 from soilspec.pipeline import (
     ModelSpec,
@@ -114,6 +116,63 @@ class TestMakeFolds:
             members = plan.assignment[table.texture_codes == code]
             counts = np.bincount(members, minlength=6)[1:]
             assert counts.max() - counts.min() <= 1
+
+    # sha256 of assignment.tobytes() for 147 rows (21 specimens of 7 blocks)
+    # at seed 7, as dealt by the per-fold loops this dealing replaced
+    @pytest.mark.parametrize(
+        "granularity, stratify, digest",
+        [
+            ("block", False,
+             "167ce276ed4f9e8e28cbf36f2b086d2776ad23761259435c6a00e2853281675c"),
+            ("block", True,
+             "462a1b771dbbc4936fd45a349e8addda818a9311a166b59c38fc037576d698c9"),
+            ("specimen", False,
+             "e90a843121e642d5e76c7dfeb2523036353a48fd5ce431ce962877bd2f0f520d"),
+        ],
+    )
+    def test_plans_are_pinned(self, granularity, stratify, digest):
+        table = cluster_table(n_mixtures=7, specimens_per_mixture=3,
+                              blocks_per_specimen=7)
+        plan = make_folds(table, seed=7, granularity=granularity, stratify=stratify)
+        assert hashlib.sha256(plan.assignment.tobytes()).hexdigest() == digest
+
+    def test_stratified_specimen_assignment(self):
+        table = cluster_table(n_mixtures=7, specimens_per_mixture=6,
+                              blocks_per_specimen=7)
+        plan = make_folds(table, seed=7, granularity="specimen", stratify=True)
+        ids = table.specimen_ids.astype(str)
+        specimen_fold = {}
+        for sid in np.unique(ids):
+            folds = np.unique(plan.assignment[ids == sid])
+            assert folds.size == 1
+            specimen_fold[sid] = folds[0]
+        for code in np.unique(table.texture_codes):
+            members = np.unique(ids[table.texture_codes == code])
+            counts = np.bincount([specimen_fold[s] for s in members], minlength=6)[1:]
+            assert counts.max() - counts.min() <= 1
+        plain = make_folds(table, seed=7, granularity="specimen")
+        assert not np.array_equal(plan.assignment, plain.assignment)
+
+    def test_specimen_of_mixed_texture_cannot_be_stratified(self):
+        table = cluster_table(n_mixtures=5, specimens_per_mixture=2,
+                              blocks_per_specimen=4)
+        table.texture_codes[13] = (table.texture_codes[13] + 1) % 12
+        with pytest.raises(FoldPlanError, match="specimen 'm1s1'"):
+            make_folds(table, seed=7, granularity="specimen", stratify=True)
+        make_folds(table, seed=7, granularity="specimen")
+        make_folds(table, seed=7, stratify=True)
+
+    @pytest.mark.parametrize("stratify", [False, True])
+    @pytest.mark.parametrize(
+        "granularity, blocks, message",
+        [("block", 1, "3 blocks"), ("specimen", 10, "3 specimens")],
+    )
+    def test_too_few_units_for_five_folds(self, granularity, blocks, message,
+                                          stratify):
+        table = cluster_table(n_mixtures=3, specimens_per_mixture=1,
+                              blocks_per_specimen=blocks)
+        with pytest.raises(FoldPlanError, match=f"{message} cannot fill N_FOLDS = 5"):
+            make_folds(table, seed=7, granularity=granularity, stratify=stratify)
 
 
 class TestStrategies:

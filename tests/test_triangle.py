@@ -143,7 +143,7 @@ class TestNormalizePrediction:
     def test_uniform_rescale(self):
         comp = normalize_prediction(50.0, 50.0, 50.0)
         assert comp.clay_pct == pytest.approx(100.0 / 3.0, abs=1e-12)
-        assert comp.total() == pytest.approx(100.0, abs=1e-9)
+        assert comp.as_array().sum() == pytest.approx(100.0, abs=1e-9)
 
     def test_clamp_then_rescale(self):
         comp = normalize_prediction(-2.0, 51.0, 51.0)
@@ -165,7 +165,7 @@ class TestNormalizePrediction:
         if max(clay, silt, sand) <= 0:
             return
         comp = normalize_prediction(clay, silt, sand)
-        assert abs(comp.total() - 100.0) <= 1e-9
+        assert abs(comp.as_array().sum() - 100.0) <= 1e-9
         assert min(comp.clay_pct, comp.silt_pct, comp.sand_pct) >= 0.0
 
     def test_vectorized_matches_scalar(self):
@@ -211,7 +211,7 @@ class TestMixtureComposition:
     def test_output_is_valid_composition(self, a, b, c):
         weights = np.array([a, b, c]) / (a + b + c)
         comp = mixture_composition(weights, ENDMEMBERS)
-        assert abs(comp.total() - 100.0) <= 1e-6
+        assert abs(comp.as_array().sum() - 100.0) <= 1e-6
 
 
 class TestRuleManifest:
