@@ -5,17 +5,21 @@ correction, the fixed 100x100 crop, and the bounded tanh contrast mapping,
 with per-band statistics printed before and after.
 """
 
-from soilspec import (
-    BAND_WAVELENGTHS_NM,
-    MixtureSpec,
+from soilspec.core import BAND_WAVELENGTHS_NM
+from soilspec.preprocess import (
     NormalizationParams,
     crop_roi,
     dark_correct,
-    noise_preset,
     preprocess_cube,
     roi_stats,
 )
-from soilspec.synthgen import DEFAULT_ENDMEMBERS, DEFAULT_ROI, synthesize_cube
+from soilspec.synthgen import (
+    DEFAULT_ENDMEMBERS,
+    DEFAULT_ROI,
+    MixtureSpec,
+    noise_preset,
+    synthesize_cube,
+)
 
 # A loam-ish mixture: 20% clay-rich, 38% silt-rich, 42% sand-rich by mass.
 mixture = MixtureSpec(weights=(0.20, 0.38, 0.42), replicate_count=1, role="train")

@@ -6,26 +6,26 @@ plotting script would consume.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from soilspec import BAND_WAVELENGTHS_NM, MinMaxScaler, MixtureSpec, noise_preset
-from soilspec.features import group_signatures
+from soilspec.core import BAND_WAVELENGTHS_NM
+from soilspec.features import MinMaxScaler, group_signatures
 from soilspec.synthgen import (
     DEFAULT_ENDMEMBERS,
     default_benchmark,
     extract_tables,
     generate_dataset,
+    noise_preset,
 )
 
-train, validation = default_benchmark()
-# three replicates per mixture keep this demo quick
-train = [MixtureSpec(m.weights, 3, m.role) for m in train]
-
 with tempfile.TemporaryDirectory() as tmp:
+    # three replicates per training mixture keep this demo quick
     manifest = generate_dataset(
-        (train, []), DEFAULT_ENDMEMBERS, noise_preset("bench", seed=11), Path(tmp)
+        default_benchmark(3, 0), DEFAULT_ENDMEMBERS,
+        noise_preset("bench", seed=11), Path(tmp),
     )
     table = extract_tables(manifest)["train"]
 
@@ -34,7 +34,7 @@ print(f"feature table: {len(table)} block observations "
       f"{table.features.shape[1]} bands")
 
 scaler = MinMaxScaler().fit(table.features)
-scaled = table.with_features(scaler.transform(table.features))
+scaled = replace(table, features=scaler.transform(table.features))
 print("train extremes map to [0, 1]:",
       scaled.features.min() == 0.0 and scaled.features.max() == 1.0)
 

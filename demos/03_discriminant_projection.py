@@ -11,21 +11,21 @@ from pathlib import Path
 
 import numpy as np
 
-from soilspec import MinMaxScaler, MixtureSpec, TextureClass, noise_preset
-from soilspec.features import composition_group_labels
+from soilspec.core import TextureClass
+from soilspec.features import MinMaxScaler, composition_group_labels
 from soilspec.lda import fit_lda, project, scatter
 from soilspec.synthgen import (
     DEFAULT_ENDMEMBERS,
     default_benchmark,
     extract_tables,
     generate_dataset,
+    noise_preset,
 )
 
-train, _ = default_benchmark()
-train = [MixtureSpec(m.weights, 3, m.role) for m in train]
 with tempfile.TemporaryDirectory() as tmp:
     manifest = generate_dataset(
-        (train, []), DEFAULT_ENDMEMBERS, noise_preset("bench", seed=21), Path(tmp)
+        default_benchmark(3, 0), DEFAULT_ENDMEMBERS,
+        noise_preset("bench", seed=21), Path(tmp),
     )
     table = extract_tables(manifest)["train"]
 

@@ -7,7 +7,7 @@ regression outputs are clamped back onto the simplex before lookup.
 
 import numpy as np
 
-from soilspec import validate_composition
+from soilspec.core import TextureClass, validate_composition
 from soilspec.triangle import (
     classify_composition,
     classify_percentages,
@@ -49,7 +49,6 @@ clay, silt = clay.ravel(), silt.ravel()
 keep = clay + silt <= 100.0
 clay, silt = clay[keep], silt[keep]
 codes = classify_percentages(clay, silt, 100.0 - clay - silt)
-from soilspec import TextureClass
 
 print(f"\nregion share on a {step:.0f}%-step grid ({codes.size} points):")
 counts = np.bincount(codes, minlength=12)

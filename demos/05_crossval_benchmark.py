@@ -10,23 +10,24 @@ import tempfile
 import time
 from pathlib import Path
 
-from soilspec import MixtureSpec, ModelSpec, make_folds, noise_preset
-from soilspec.pipeline import run_external_validation, run_strategies
+from soilspec.pipeline import (
+    ModelSpec,
+    make_folds,
+    run_external_validation,
+    run_strategies,
+)
 from soilspec.synthgen import (
     DEFAULT_ENDMEMBERS,
     default_benchmark,
     extract_tables,
     generate_dataset,
+    noise_preset,
 )
 
 start = time.time()
-train, validation = default_benchmark()
-train = [MixtureSpec(m.weights, 6, m.role) for m in train]
-validation = [MixtureSpec(m.weights, 3, m.role) for m in validation]
-
 with tempfile.TemporaryDirectory() as tmp:
     manifest = generate_dataset(
-        (train, validation), DEFAULT_ENDMEMBERS,
+        default_benchmark(6, 3), DEFAULT_ENDMEMBERS,
         noise_preset("bench", seed=7), Path(tmp),
     )
     tables = extract_tables(manifest)

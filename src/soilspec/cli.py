@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline, synthgen
@@ -109,18 +110,9 @@ def cmd_generate(args) -> int:
         if args.endmembers
         else synthgen.DEFAULT_ENDMEMBERS
     )
-    train, validation = synthgen.default_benchmark()
-    if args.replicates is not None:
-        r_train, r_val = args.replicates
-        train = [
-            synthgen.MixtureSpec(m.weights, r_train, m.role) for m in train
-        ]
-        validation = [
-            synthgen.MixtureSpec(m.weights, r_val, m.role) for m in validation
-            if r_val > 0
-        ]
     manifest = synthgen.generate_dataset(
-        (train, validation), endmembers, noise, args.out, threads=args.threads
+        synthgen.default_benchmark(*(args.replicates or ())),
+        endmembers, noise, args.out, threads=args.threads,
     )
     _write_run_config(args)
     print(manifest)
@@ -148,11 +140,6 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     table = read_observation_csv(args.features / "train.csv")
-    if args.external_validation:  # fail before the cross-validation runs
-        validation = read_observation_csv(args.features / "validation.csv")
-    plan = pipeline.make_folds(
-        table, seed=args.seed, granularity=args.granularity, stratify=args.stratify
-    )
     specs = [
         ModelSpec(
             name=name,
@@ -164,6 +151,14 @@ def cmd_evaluate(args) -> int:
         )
         for name in args.models
     ]
+    if args.external_validation:  # fail before the cross-validation runs
+        validation = read_observation_csv(args.features / "validation.csv")
+        reports = pipeline.run_external_validation(
+            table, validation, *specs, seed=args.seed
+        )
+    plan = pipeline.make_folds(
+        table, seed=args.seed, granularity=args.granularity, stratify=args.stratify
+    )
     results = pipeline.run_strategies(
         table, plan, args.strategies, specs, scaler_scope=args.scaler_scope
     )
@@ -175,9 +170,6 @@ def cmd_evaluate(args) -> int:
     pipeline.write_results_csv(list(results.values()), args.out / "results.csv")
     pipeline.write_aggregate_csv(list(results.values()), args.out / "aggregate.csv")
     if args.external_validation:
-        reports = pipeline.run_external_validation(
-            table, validation, *specs, seed=args.seed
-        )
         pipeline.write_external_csv(reports, args.out / "external_validation.csv")
     _write_run_config(args)
     print(args.out / "aggregate.csv")
@@ -188,7 +180,7 @@ def cmd_signatures(args) -> int:
     table = read_observation_csv(args.features)
     # Signatures are defined over the column-wise min-max normalized table.
     scaler = MinMaxScaler().fit(table.features)
-    table = table.with_features(scaler.transform(table.features))
+    table = replace(table, features=scaler.transform(table.features))
     args.out.mkdir(parents=True, exist_ok=True)
     groupings = ("class", "composition") if args.group_by == "both" else (args.group_by,)
     for grouping in groupings:
@@ -230,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_replicates,
         default=None,
         metavar="TRAIN,VAL",
-        help="override replicate counts (default 20,12)",
+        help="override replicate counts (default "
+        f"{synthgen.TRAIN_REPLICATES},{synthgen.VALIDATION_REPLICATES})",
     )
     p.add_argument("--threads", type=_positive_int, default=None)
     p.set_defaults(func=cmd_generate)
@@ -245,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="X,Y",
         help="ROI top-left corner (default 10,10)",
     )
-    p.add_argument("--kappa", type=_positive_float, default=0.03,
+    p.add_argument("--kappa", type=_positive_float, default=NormalizationParams.kappa,
                    help="tanh contrast steepness")
     p.add_argument("--threads", type=_positive_int, default=None)
     p.set_defaults(func=cmd_extract)
@@ -261,10 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stratify", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scaler-scope", choices=("fold", "pool"), default="fold")
-    p.add_argument("--k", type=_positive_int, default=5, help="KNN neighbor count")
-    p.add_argument("--rf-trees", type=_positive_int, default=20)
+    p.add_argument("--k", type=_positive_int, default=ModelSpec.k,
+                   help="KNN neighbor count")
+    p.add_argument("--rf-trees", type=_positive_int, default=ModelSpec.n_trees)
     p.add_argument("--max-depth", type=_positive_int, default=None)
-    p.add_argument("--min-leaf", type=_positive_int, default=1)
+    p.add_argument("--min-leaf", type=_positive_int, default=ModelSpec.min_leaf)
     p.add_argument("--external-validation", action="store_true")
     p.add_argument("--threads", type=_positive_int, default=None)
     p.set_defaults(func=cmd_evaluate)

@@ -80,6 +80,7 @@ _TEXTURE_ORDER = tuple(TextureClass)
 _TEXTURE_INDEX = {c: i for i, c in enumerate(_TEXTURE_ORDER)}
 N_CLASSES = len(_TEXTURE_ORDER)
 TEXTURE_NAMES = tuple(c.value for c in _TEXTURE_ORDER)
+TEXTURE_CODES = {name: code for code, name in enumerate(TEXTURE_NAMES)}
 
 
 @dataclass(frozen=True)
@@ -226,15 +227,4 @@ class ObservationTable:
             features=self.features[index],
             compositions=self.compositions[index],
             texture_codes=self.texture_codes[index],
-        )
-
-    def with_features(self, features: np.ndarray) -> "ObservationTable":
-        """Same rows, new feature matrix (e.g. after scaling)."""
-        return ObservationTable(
-            specimen_ids=self.specimen_ids,
-            block_rows=self.block_rows,
-            block_cols=self.block_cols,
-            features=features,
-            compositions=self.compositions,
-            texture_codes=self.texture_codes,
         )

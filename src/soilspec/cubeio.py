@@ -24,6 +24,7 @@ from .core import (
     BLOCK_GRID,
     COMPOSITION_TOL,
     N_BANDS,
+    TEXTURE_CODES,
     TEXTURE_NAMES,
     DarkFrame,
     ObservationTable,
@@ -238,7 +239,6 @@ def _reject_first(path: Path, bad: np.ndarray, error: type, what: str) -> None:
         raise error(f"{path}: line {np.flatnonzero(bad)[0] + 2}: {what}")
 
 
-_TEXTURE_CODES = {name: code for code, name in enumerate(TEXTURE_NAMES)}
 # One observation row as np.loadtxt parses it.
 _ROW = np.dtype([
     ("id", object),
@@ -277,7 +277,7 @@ def _parse_plain(text: str):
                            comments=None, ndmin=1)
     except ValueError:
         return None
-    codes = np.array([_TEXTURE_CODES.get(name, -1) for name in table["texture"]],
+    codes = np.array([TEXTURE_CODES.get(name, -1) for name in table["texture"]],
                      dtype=np.int64)
     if (codes < 0).any():
         return None

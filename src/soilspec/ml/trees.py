@@ -31,7 +31,7 @@ import hashlib
 import numpy as np
 
 from ..errors import DimensionMismatch, EmptyTrainingSet, NotFitted
-from ..seeding import derive_seed
+from ..seeding import make_rng
 from .neighbors import as_labels, check_finite, check_labels, check_lengths
 
 
@@ -322,7 +322,7 @@ class _ForestBase:
         raise NotImplementedError
 
     def _fit_one(self, index, features, targets, max_features):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(self.seed, index)))
+        rng = make_rng(self.seed, index)
         rows = rng.integers(0, features.shape[0], size=features.shape[0])
         rows.sort()  # stable row ordering keeps split tie-breaks canonical
         tree = self._new_tree()

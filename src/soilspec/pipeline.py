@@ -26,6 +26,8 @@ from .features import MinMaxScaler, composition_group_labels
 from .lda import LdaModel, fit_lda, project, scatter
 from .ml import (
     ClassificationReport,
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
     KnnClassifier,
     KnnRegressor,
     RandomForestClassifier,
@@ -35,8 +37,7 @@ from .ml import (
     regression_metrics,
     smote,
 )
-from .ml.trees import DecisionTreeClassifier, DecisionTreeRegressor
-from .seeding import derive_seed
+from .seeding import derive_seed, make_rng
 from .triangle import classify_percentages, normalize_predictions
 
 N_FOLDS = 5
@@ -99,7 +100,7 @@ def make_folds(
         raise FoldPlanError(
             f"{count} {granularity}s cannot fill N_FOLDS = {N_FOLDS} folds"
         )
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
+    rng = make_rng(seed, 0)
     if stratify:
         codes = np.empty(count, dtype=np.int64)
         codes[unit] = table.texture_codes

@@ -45,7 +45,7 @@ from .cubeio import (
     write_dark_frame,
 )
 from .errors import IoFailure, MalformedHeader, SoilspecError
-from .features import block_means, flatten_observations
+from .features import BLOCK_SIDE, block_means, flatten_observations
 from .preprocess import NormalizationParams, preprocess_cube
 from .seeding import derive_seed
 from .triangle import classify_composition, mixture_composition
@@ -78,7 +78,6 @@ DEFAULT_ENDMEMBER_SPECTRA = np.array(
 # 10x10 feature grid sees the per-block texture noise coherently.
 IMAGE_SIDE = 120
 DEFAULT_ROI = Roi(x1=10, y1=10)
-_PIXEL_BLOCK = 10
 _CUBE_SHAPE = (N_BANDS, IMAGE_SIDE, IMAGE_SIDE)
 _SCRATCH = threading.local()
 
@@ -126,7 +125,7 @@ class MixtureSpec:
 class NoiseModel:
     """Acquisition noise parameters plus the master seed.
 
-    Defaults match the `bench` preset.
+    The defaults are the `bench` preset.
     """
 
     dark_mean: float = 48.0
@@ -146,8 +145,7 @@ class NoiseModel:
 NOISE_PRESETS = {
     "clean": NoiseModel(dark_mean=0.0, dark_std=0.0, shot_scale=0.0,
                         block_texture_std=0.0),
-    "bench": NoiseModel(dark_mean=48.0, dark_std=6.0, shot_scale=0.05,
-                        block_texture_std=12.0),
+    "bench": NoiseModel(),
     "stress": NoiseModel(dark_mean=48.0, dark_std=12.0, shot_scale=0.18,
                          block_texture_std=30.0),
 }
@@ -204,25 +202,24 @@ TRAIN_REPLICATES = 20
 VALIDATION_REPLICATES = 12
 
 
-def default_benchmark() -> tuple[list[MixtureSpec], list[MixtureSpec]]:
-    """The stock desk-scale dataset: 22x20 train + 7x12 validation specimens."""
-    train = [
-        MixtureSpec(
-            weights=(a / 100.0, b / 100.0, c / 100.0),
-            replicate_count=TRAIN_REPLICATES,
-            role="train",
-        )
-        for a, b, c in TRAIN_MIXTURES_PCT
-    ]
-    validation = [
-        MixtureSpec(
-            weights=(a / 100.0, b / 100.0, c / 100.0),
-            replicate_count=VALIDATION_REPLICATES,
-            role="validation",
-        )
-        for a, b, c in VALIDATION_MIXTURES_PCT
-    ]
-    return train, validation
+def default_benchmark(
+    train_replicates: int = TRAIN_REPLICATES,
+    validation_replicates: int = VALIDATION_REPLICATES,
+) -> tuple[list[MixtureSpec], list[MixtureSpec]]:
+    """The stock desk-scale dataset: 22 train and 7 validation mixtures, by
+    default with 20 and 12 replicates each. A count of 0 gives an empty list."""
+
+    def specs(mixtures, replicates, role):
+        return [
+            MixtureSpec((a / 100.0, b / 100.0, c / 100.0), replicates, role)
+            for a, b, c in mixtures
+            if replicates
+        ]
+
+    return (
+        specs(TRAIN_MIXTURES_PCT, train_replicates, "train"),
+        specs(VALIDATION_MIXTURES_PCT, validation_replicates, "validation"),
+    )
 
 
 def synthesize_dark_frame(noise: NoiseModel, seed: int) -> DarkFrame:
@@ -263,11 +260,11 @@ def synthesize_cube(
     """
     rng = np.random.Generator(np.random.PCG64(specimen_seed))
     base = endmembers.mix(np.asarray(spec.weights))
-    grid = IMAGE_SIDE // _PIXEL_BLOCK
+    grid = IMAGE_SIDE // BLOCK_SIDE
     # One texture draw per block, shared by all bands: a block is a coherent
     # surface patch whose packing shifts the whole spectrum together.
     block_noise = rng.normal(0.0, noise.block_texture_std, (grid, grid))
-    block_pixels = np.kron(block_noise, np.ones((_PIXEL_BLOCK, _PIXEL_BLOCK)))
+    block_pixels = np.kron(block_noise, np.ones((BLOCK_SIDE, BLOCK_SIDE)))
     signal, pixels, shot = _cube_scratch()
     np.add(base[:, np.newaxis, np.newaxis], block_pixels[np.newaxis, :, :], out=signal)
     # dark offsets: standard normals * std + mean, the same bits as rng.normal

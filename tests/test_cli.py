@@ -517,6 +517,34 @@ class TestEndToEnd:
         assert "validation.csv" in err
         assert not (out / "results.csv").exists()
 
+    def test_specimen_overlap_fails_before_cross_validation(
+        self, tiny_run, tmp_path, capsys
+    ):
+        base, data, features = tiny_run
+        for name in ("train.csv", "validation.csv"):
+            (tmp_path / name).write_bytes((features / "train.csv").read_bytes())
+        out = tmp_path / "results"
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out", str(out),
+             "--models", "knn", "--strategies", "1", "--external-validation"],
+            capsys,
+        )
+        assert code == 1
+        assert "specimen ids in both tables: ['train-01-01', 'train-01-02'" in err
+        assert list(out.iterdir()) == []
+
+    def test_pool_scaler_scope_is_recorded(self, tiny_run, capsys):
+        base, data, features = tiny_run
+        out = base / "pool"
+        code, _, _ = run(
+            ["evaluate", "--features", str(features), "--out", str(out),
+             "--models", "knn", "--strategies", "1,2", "--scaler-scope", "pool"],
+            capsys,
+        )
+        assert code == 0
+        config = json.loads((out / "run_config.json").read_text())
+        assert config["params"]["scaler_scope"] == "pool"
+
     @pytest.mark.parametrize(
         "granularity, lines, message",
         [("block", 3, "3 blocks"), ("specimen", 300, "3 specimens")],

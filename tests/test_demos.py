@@ -1,6 +1,8 @@
-"""Each narrative script in demos/ runs to completion against the package."""
+"""Each narrative script in demos/ runs to completion against the package,
+and every README import line imports."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import soilspec
 
 SRC = Path(soilspec.__file__).resolve().parents[1]
 DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+README_IMPORT = re.compile(r"^from soilspec[\w.]* import (?:\([^)]*\)|.*)$", re.M)
 
 
 def test_demos_found():
@@ -28,3 +31,10 @@ def test_demo_runs(script, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_readme_import_lines_import():
+    lines = README_IMPORT.findall((SRC.parent / "README.md").read_text())
+    assert lines
+    for line in lines:
+        exec(line, {})

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -59,6 +60,23 @@ class TestDefaultBenchmark:
         train, validation = default_benchmark()
         for mixture in train + validation:
             assert sum(mixture.weights) == pytest.approx(1.0, abs=1e-9)
+
+    def test_stock_specs_are_pinned(self):
+        # sha256 of the specs' repr: weights, replicate counts and roles
+        train, validation = default_benchmark()
+        assert [(m.replicate_count, m.role) for m in train] == [(20, "train")] * 22
+        assert [(m.replicate_count, m.role) for m in validation] == [
+            (12, "validation")
+        ] * 7
+        assert hashlib.sha256(repr(train + validation).encode()).hexdigest() == (
+            "ce08a387e34a7c3b7ca4689264ca2be2b66a5e44ad933e18919618828248d642"
+        )
+
+    def test_replicate_counts_override_and_zero_gives_no_specs(self):
+        stock, _ = default_benchmark()
+        train, validation = default_benchmark(3, 0)
+        assert train == [MixtureSpec(m.weights, 3, "train") for m in stock]
+        assert validation == []
 
 
 class TestEndmembers:
