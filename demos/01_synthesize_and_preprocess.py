@@ -13,21 +13,25 @@ from soilspec.preprocess import (
     preprocess_cube,
     roi_stats,
 )
+from soilspec.seeding import derive_seed
 from soilspec.synthgen import (
     DEFAULT_ENDMEMBERS,
     DEFAULT_ROI,
     MixtureSpec,
     noise_preset,
     synthesize_cube,
+    synthesize_dark_frame,
 )
+from soilspec.triangle import classify_composition
 
 # A loam-ish mixture: 20% clay-rich, 38% silt-rich, 42% sand-rich by mass.
 mixture = MixtureSpec(weights=(0.20, 0.38, 0.42), replicate_count=1, role="train")
 noise = noise_preset("bench", seed=42)
 
-cube, dark, composition, texture = synthesize_cube(
-    mixture, DEFAULT_ENDMEMBERS, noise, specimen_seed=42
-)
+cube = synthesize_cube(mixture, DEFAULT_ENDMEMBERS, noise, specimen_seed=42)
+dark = synthesize_dark_frame(noise, derive_seed(42, 1))
+composition = mixture.composition()
+texture = classify_composition(composition)
 print(f"specimen: {cube.planes.shape[1]}x{cube.planes.shape[2]} pixels, "
       f"{cube.planes.shape[0]} bands")
 print(f"ground truth: clay {composition.clay_pct:.2f}%, "

@@ -159,9 +159,7 @@ def cmd_evaluate(args) -> int:
     plan = pipeline.make_folds(
         table, seed=args.seed, granularity=args.granularity, stratify=args.stratify
     )
-    results = pipeline.run_strategies(
-        table, plan, args.strategies, specs, scaler_scope=args.scaler_scope
-    )
+    results = pipeline.run_strategies(table, plan, args.strategies, specs)
     for (strategy, name), result in results.items():
         if result.pooled_confusion() is not None:
             pipeline.write_confusion_csv(
@@ -253,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--granularity", choices=("block", "specimen"), default="block")
     p.add_argument("--stratify", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scaler-scope", choices=("fold", "pool"), default="fold")
     p.add_argument("--k", type=_positive_int, default=ModelSpec.k,
                    help="KNN neighbor count")
     p.add_argument("--rf-trees", type=_positive_int, default=ModelSpec.n_trees)

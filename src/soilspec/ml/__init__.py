@@ -1,34 +1,7 @@
 """From-scratch learners and evaluation metrics.
 
-KNN, CART decision trees, bootstrap random forests, SMOTE oversampling, and
-the classification/regression reports used by the cross-validation harness.
+KNN (`knn`, over the exact search in `neighbors`), CART decision trees and
+bootstrap random forests (`trees`), SMOTE oversampling (`smote`), and the
+classification/regression reports used by the cross-validation harness
+(`metrics`). Import each name from its defining module.
 """
-
-from .knn import KnnClassifier, KnnRegressor
-from .metrics import (
-    ClassificationReport,
-    RegressionReport,
-    classification_metrics,
-    regression_metrics,
-)
-from .smote import smote
-from .trees import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    RandomForestClassifier,
-    RandomForestRegressor,
-)
-
-__all__ = [
-    "KnnClassifier",
-    "KnnRegressor",
-    "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
-    "RandomForestClassifier",
-    "RandomForestRegressor",
-    "smote",
-    "ClassificationReport",
-    "RegressionReport",
-    "classification_metrics",
-    "regression_metrics",
-]

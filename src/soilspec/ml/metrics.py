@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import N_CLASSES
 from ..errors import ConstantTruth, LengthMismatch
 
 COMPONENTS = ("clay", "silt", "sand")
@@ -46,7 +47,7 @@ class RegressionReport:
 
 
 def classification_metrics(
-    truth: np.ndarray, predicted: np.ndarray, n_classes: int = 12
+    truth: np.ndarray, predicted: np.ndarray, n_classes: int = N_CLASSES
 ) -> ClassificationReport:
     """Accuracy, macro F1, macro recall, and the confusion matrix."""
     truth = np.asarray(truth, dtype=np.int64)

@@ -3,12 +3,13 @@
 Strategy 1 classifies USDA texture classes directly; strategy 2 regresses
 (clay, silt, sand); strategy 3 pushes strategy-2 predictions through the
 texture triangle. One fold stage is the only path from a training split to
-scores: `fit_fold` fits the scaler, the discriminant projection, the
-oversampler and one learner per model on the training split only;
-`evaluate_fold` transforms the held-out rows once with the frozen parameters
-and scores every model under every requested strategy. `run_strategies`
-runs the stage per fold and strategy family; `run_external_validation` runs
-it once, with the validation table as the test split.
+scores: `fit_fold` fits the per-band min-max scaler, the discriminant
+projection, the oversampler and one learner per model on the training split
+only; `evaluate_fold` transforms the held-out rows once with the frozen
+parameters and scores every model under every requested strategy.
+`run_strategies` runs the stage per fold and strategy family;
+`run_external_validation` runs it once, with the validation table as the
+test split.
 """
 
 from __future__ import annotations
@@ -24,18 +25,19 @@ from .cubeio import fmt_float, write_csv_rows
 from .errors import FoldPlanError, OffSimplex, SpecimenOverlap
 from .features import MinMaxScaler, composition_group_labels
 from .lda import LdaModel, fit_lda, project, scatter
-from .ml import (
+from .ml.knn import KnnClassifier, KnnRegressor
+from .ml.metrics import (
     ClassificationReport,
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    KnnClassifier,
-    KnnRegressor,
-    RandomForestClassifier,
-    RandomForestRegressor,
     RegressionReport,
     classification_metrics,
     regression_metrics,
-    smote,
+)
+from .ml.smote import smote
+from .ml.trees import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    RandomForestClassifier,
+    RandomForestRegressor,
 )
 from .seeding import derive_seed, make_rng
 from .triangle import classify_percentages, normalize_predictions
@@ -243,26 +245,22 @@ def fit_fold(
     strategy: int,
     *specs: ModelSpec,
     seed: int,
-    scaler: MinMaxScaler | None = None,
 ) -> FoldArtifacts:
-    """Fit scaler, discriminant projection, and one learner per spec on one
-    training split.
+    """Fit the min-max scaler, discriminant projection, and one learner per
+    spec on one training split; no held-out row shapes a transform.
 
     Strategy 1 supervises the projection with texture classes and balances
     the projected training set with SMOTE before fitting the classifiers;
     strategies 2 and 3 supervise with composition-group labels (one group
     per distinct mixture triple in the training split) and fit regressors
     on the raw fractions. Every spec shares the transforms, and each learner
-    gets the seed it would get alone. A pre-fitted scaler may be passed for
-    pool-scoped scaling; by default the scaler is fitted on the training
-    split.
+    gets the seed it would get alone.
     """
     names = [spec.name for spec in specs]
     if not names or len(set(names)) != len(names):
         raise ValueError(f"need one or more distinct model specs, got {names}")
     train = table.select(train_index)
-    if scaler is None:
-        scaler = MinMaxScaler().fit(train.features)
+    scaler = MinMaxScaler().fit(train.features)
     scaled = scaler.transform(train.features)
     if strategy == 1:
         supervision = train.texture_codes
@@ -300,7 +298,7 @@ def _triangle_report(test: ObservationTable, predicted: np.ndarray):
     codes = classify_percentages(normalized[:, 0], normalized[:, 1], normalized[:, 2])
     if np.any(codes < 0):
         raise OffSimplex("renormalized prediction matched no triangle region")
-    return classification_metrics(test.texture_codes, codes, N_CLASSES)
+    return classification_metrics(test.texture_codes, codes)
 
 
 def evaluate_fold(
@@ -325,7 +323,7 @@ def evaluate_fold(
         name: learner.predict(projected) for name, learner in artifacts.learners.items()
     }
     score = {
-        1: lambda p: classification_metrics(test.texture_codes, p, N_CLASSES),
+        1: lambda p: classification_metrics(test.texture_codes, p),
         2: lambda p: regression_metrics(test.compositions, p),
         3: lambda p: _triangle_report(test, p),
     }
@@ -369,7 +367,6 @@ def run_strategies(
     plan: CvPlan,
     strategies: list[int],
     specs: list[ModelSpec],
-    scaler_scope: str = "fold",
 ) -> dict[tuple[int, str], StrategyResult]:
     """Run several strategies and models over the same folds.
 
@@ -384,11 +381,6 @@ def run_strategies(
     for strategy in strategies:
         if strategy not in STRATEGY_IDS:
             raise ValueError(f"unknown strategy {strategy}")
-    if scaler_scope not in ("fold", "pool"):
-        raise ValueError(f"scaler scope must be fold or pool, got {scaler_scope!r}")
-    pool_scaler = (
-        MinMaxScaler().fit(table.features) if scaler_scope == "pool" else None
-    )
     results = {
         (s, spec.name): StrategyResult(strategy=s, model=spec.name)
         for s in strategies
@@ -404,7 +396,6 @@ def run_strategies(
             artifacts = fit_fold(
                 table, train_index, family, *specs,
                 seed=derive_seed(plan.seed, family, fold),
-                scaler=pool_scaler,
             )
             reports = evaluate_fold(artifacts, table, test_index, members)
             for key, report in reports.items():

@@ -248,9 +248,8 @@ def synthesize_cube(
     endmembers: EndmemberLibrary,
     noise: NoiseModel,
     specimen_seed: int,
-    dark: DarkFrame | None = None,
-) -> tuple[SpectralCube, DarkFrame, Composition, TextureClass]:
-    """Render one specimen: cube, companion dark frame, and ground truth.
+) -> SpectralCube:
+    """Render one specimen cube.
 
     Draw order per band stack: block texture, dark offsets, then unit
     normals scaled by shot_scale * signal; fixed so a seed pins the cube.
@@ -278,12 +277,7 @@ def synthesize_cube(
     pixels += shot
     np.rint(pixels, out=pixels)
     np.clip(pixels, 0, MAX_INTENSITY, out=pixels)
-    cube = SpectralCube(planes=pixels.astype(np.uint16))
-    if dark is None:
-        dark = synthesize_dark_frame(noise, derive_seed(specimen_seed, 1))
-    composition = spec.composition()
-    texture = classify_composition(composition)
-    return cube, dark, composition, texture
+    return SpectralCube(planes=pixels.astype(np.uint16))
 
 
 @dataclass(frozen=True)
@@ -343,17 +337,17 @@ def generate_dataset(
     def render(entry):
         specimen_id, mixture, role_idx, m_idx, rep = entry
         seed = derive_seed(noise.seed, role_idx, m_idx, rep)
-        cube, _, composition, texture = synthesize_cube(
-            mixture, endmembers, noise, seed, dark=dark
-        )
         rel_path = f"cubes/{specimen_id}.msc"
-        write_cube(cube, out_dir / rel_path)
+        write_cube(
+            synthesize_cube(mixture, endmembers, noise, seed), out_dir / rel_path
+        )
+        composition = mixture.composition()
         return ManifestEntry(
             specimen_id=specimen_id,
             role=mixture.role,
             weights=mixture.weights,
             composition=composition,
-            texture=texture,
+            texture=classify_composition(composition),
             cube_path=rel_path,
         )
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import COMPOSITION_TOL, Composition, TextureClass, validate_composition
-from .errors import AllNonPositive, OffSimplex, WeightSumViolation
+from .errors import AllNonPositive, NumericalFailure, OffSimplex, WeightSumViolation
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,28 @@ def normalize_prediction(clay: float, silt: float, sand: float) -> Composition:
         raise AllNonPositive(
             f"no positive component in ({clay}, {silt}, {sand})"
         ) from None
+    except NumericalFailure:
+        raise NumericalFailure(
+            f"non-finite component or total in ({clay}, {silt}, {sand})"
+        ) from None
     return Composition(float(clay_n), float(silt_n), float(sand_n))
 
 
 def normalize_predictions(triples: np.ndarray) -> np.ndarray:
-    """Vectorized clamp-then-rescale for an (n, 3) prediction array."""
-    triples = np.maximum(np.asarray(triples, dtype=np.float64), 0.0)
-    totals = triples.sum(axis=1)
+    """Vectorized clamp-then-rescale for an (n, 3) prediction array.
+
+    A NaN or infinite component, or a clamped total that overflows, raises
+    NumericalFailure naming the first such row.
+    """
+    triples = np.asarray(triples, dtype=np.float64)
+    finite = np.isfinite(triples).all(axis=1)
+    triples = np.maximum(triples, 0.0)
+    with np.errstate(over="ignore"):
+        totals = triples.sum(axis=1)
+    finite &= np.isfinite(totals)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NumericalFailure(f"row {bad} has a non-finite component or total")
     if np.any(totals <= 0.0):
         bad = int(np.flatnonzero(totals <= 0.0)[0])
         raise AllNonPositive(f"row {bad} has no positive component")

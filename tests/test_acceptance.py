@@ -18,12 +18,8 @@ from soilspec.cli import main
 from soilspec.core import TextureClass, validate_composition
 from soilspec.cubeio import read_observation_csv
 from soilspec.lda import fit_lda, scatter, select_k
-from soilspec.ml import (
-    KnnClassifier,
-    KnnRegressor,
-    classification_metrics,
-    regression_metrics,
-)
+from soilspec.ml.knn import KnnClassifier, KnnRegressor
+from soilspec.ml.metrics import classification_metrics, regression_metrics
 from soilspec.pipeline import ModelSpec, fit_fold
 from soilspec.preprocess import NormalizationParams, normalize_contrast, roi_stats
 from soilspec.triangle import TRIANGLE_RULES, classify_composition

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,28 @@ class TestTriangleCommand:
         assert code == 1
         assert "--clay" in err
 
+    @pytest.mark.parametrize(
+        "clay, silt, triple",
+        [
+            ("nan", "1", "(nan, 1.0, 0.0)"),
+            ("inf", "1", "(inf, 1.0, 0.0)"),
+            ("-inf", "1", "(-inf, 1.0, 0.0)"),
+            ("1e308", "1e308", "(1e+308, 1e+308, 0.0)"),  # the total overflows
+        ],
+    )
+    def test_non_finite_normalize_names_the_triple(self, capsys, clay, silt, triple):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                ["triangle", f"--clay={clay}", f"--silt={silt}", "--sand", "0",
+                 "--normalize"],
+                capsys,
+            )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"soilspec triangle: non-finite component or total in {triple}\n"
+        )
+
 
 class TestThreadsConfig:
     def test_env_variable_mirrors_flag(self, monkeypatch):
@@ -170,6 +193,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_pool_scaling_flag_is_gone(self, tmp_path, capsys):
+        flag = "-".join(["--scaler", "scope"])
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--features", str(tmp_path), "--out",
+                  str(tmp_path / "results"), flag, "pool"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} pool" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -532,18 +564,6 @@ class TestEndToEnd:
         assert code == 1
         assert "specimen ids in both tables: ['train-01-01', 'train-01-02'" in err
         assert list(out.iterdir()) == []
-
-    def test_pool_scaler_scope_is_recorded(self, tiny_run, capsys):
-        base, data, features = tiny_run
-        out = base / "pool"
-        code, _, _ = run(
-            ["evaluate", "--features", str(features), "--out", str(out),
-             "--models", "knn", "--strategies", "1,2", "--scaler-scope", "pool"],
-            capsys,
-        )
-        assert code == 0
-        config = json.loads((out / "run_config.json").read_text())
-        assert config["params"]["scaler_scope"] == "pool"
 
     @pytest.mark.parametrize(
         "granularity, lines, message",

@@ -1,6 +1,8 @@
 """Each narrative script in demos/ runs to completion against the package,
-and every README import line imports."""
+every README import line imports, and each public name has one home: its
+defining module, never a package ``__init__``."""
 
+import ast
 import os
 import re
 import subprocess
@@ -38,3 +40,19 @@ def test_readme_import_lines_import():
     assert lines
     for line in lines:
         exec(line, {})
+
+
+@pytest.mark.parametrize("init", ["__init__.py", "ml/__init__.py"])
+def test_package_inits_define_no_public_name(init):
+    tree = ast.parse((SRC / "soilspec" / init).read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        else:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                    names.add(sub.id)
+    assert names <= {"__version__"}

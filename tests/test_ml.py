@@ -23,18 +23,16 @@ from soilspec.errors import (
     NotFitted,
     NumericalFailure,
 )
-from soilspec.ml import (
+from soilspec.ml import neighbors, trees
+from soilspec.ml.knn import KnnClassifier, KnnRegressor
+from soilspec.ml.metrics import classification_metrics, regression_metrics
+from soilspec.ml.smote import smote
+from soilspec.ml.trees import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
-    KnnClassifier,
-    KnnRegressor,
     RandomForestClassifier,
     RandomForestRegressor,
-    classification_metrics,
-    regression_metrics,
-    smote,
 )
-from soilspec.ml import neighbors, trees
 from soilspec.ml.neighbors import build_tree, k_nearest
 from soilspec.seeding import derive_seed
 
@@ -408,7 +406,7 @@ class TestNeighborSearch:
         # row, which took about 480 MB when a round ran in one piece. VmHWM
         # is the peak since exec; ru_maxrss would count the forking parent's.
         probe = (
-            "import numpy as np; from soilspec.ml import KnnClassifier\n"
+            "import numpy as np; from soilspec.ml.knn import KnnClassifier\n"
             "X = np.zeros((3000, 2)); y = np.zeros(3000, dtype=int)\n"
             "KnnClassifier(k=5).fit(X, y).predict(X)\n"
             "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"

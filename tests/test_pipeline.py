@@ -3,11 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from soilspec import pipeline
 from soilspec.core import N_BANDS, ObservationTable
 from soilspec.errors import FoldPlanError, SpecimenOverlap
-from soilspec.features import MinMaxScaler
-from soilspec.ml import classification_metrics, regression_metrics
+from soilspec.ml.metrics import classification_metrics, regression_metrics
 from soilspec.pipeline import (
     ModelSpec,
     StrategyResult,
@@ -20,7 +18,6 @@ from soilspec.pipeline import (
     write_confusion_csv,
     write_results_csv,
 )
-from soilspec.seeding import derive_seed
 
 
 def cluster_table(
@@ -337,34 +334,6 @@ class TestSharedFoldStage:
             alone = fit_fold(table, train_index, strategy, spec, seed=9).digests()
             assert f"learner_{spec.name}" in alone
             assert alone.items() <= joint.items()
-
-    def test_pool_scope_scales_every_fold_with_the_whole_table(self, monkeypatch):
-        table = cluster_table(noise=2.0, seed=47)
-        plan = make_folds(table, seed=48)
-        fitted = []
-
-        def recording_fit_fold(*args, **kwargs):
-            fitted.append(fit_fold(*args, **kwargs))
-            return fitted[-1]
-
-        monkeypatch.setattr(pipeline, "fit_fold", recording_fit_fold)
-        pooled = run_strategies(table, plan, [1, 2], self.SPECS, scaler_scope="pool")
-        for fold in range(1, 6):
-            for strategy in (1, 2):
-                artifacts = fit_fold(
-                    table, plan.train_index(fold), strategy, *self.SPECS,
-                    seed=derive_seed(plan.seed, strategy, fold),
-                    scaler=MinMaxScaler().fit(table.features),
-                )
-                assert artifacts.digests() == fitted.pop(0).digests()
-                reports = evaluate_fold(
-                    artifacts, table, plan.test_index(fold), [strategy]
-                )
-                for spec in self.SPECS:
-                    result = pooled[strategy, spec.name]
-                    assert reports[strategy, spec.name].metric_dict() == (
-                        result.fold_metrics()[fold - 1]
-                    )
 
     @pytest.mark.parametrize("names", [(), ("knn", "knn")])
     def test_fit_fold_needs_distinct_specs(self, names):

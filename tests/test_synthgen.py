@@ -5,10 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from soilspec.core import MAX_INTENSITY, N_BANDS, validate_composition
+from soilspec.core import MAX_INTENSITY, N_BANDS, SpectralCube, validate_composition
 from soilspec.errors import MalformedHeader, TruncatedPayload
 from soilspec import synthgen
 from soilspec.preprocess import crop_roi, dark_correct, preprocess_cube
+from soilspec.seeding import derive_seed
 from soilspec.synthgen import (
     DEFAULT_ENDMEMBERS,
     DEFAULT_ROI,
@@ -22,6 +23,7 @@ from soilspec.synthgen import (
     noise_preset,
     read_endmember_csv,
     synthesize_cube,
+    synthesize_dark_frame,
 )
 from soilspec.triangle import classify_composition
 
@@ -188,13 +190,13 @@ class TestScratchSynthesis:
     def test_cubes_equal_the_allocating_formula(self, preset):
         noise = noise_preset(preset, seed=4)
         for seed, spec in enumerate(self.SPECS * 2, 300):
-            cube, _, _, _ = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, seed)
+            cube = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, seed)
             expected = reference_planes(spec, DEFAULT_ENDMEMBERS, noise, seed)
             assert np.array_equal(cube.planes, expected)
 
     def test_returned_cube_is_not_the_scratch(self):
         noise = noise_preset("stress", seed=1)
-        first, _, _, _ = synthesize_cube(self.SPECS[0], DEFAULT_ENDMEMBERS, noise, 9)
+        first = synthesize_cube(self.SPECS[0], DEFAULT_ENDMEMBERS, noise, 9)
         kept = first.planes.copy()
         synthesize_cube(self.SPECS[1], DEFAULT_ENDMEMBERS, noise, 10)
         assert np.array_equal(first.planes, kept)
@@ -210,7 +212,7 @@ class TestScratchSynthesis:
             with ThreadPoolExecutor(max_workers=6) as pool:
                 cubes = list(pool.map(
                     lambda job: synthesize_cube(job[0], DEFAULT_ENDMEMBERS, noise,
-                                                job[1])[0],
+                                                job[1]),
                     jobs,
                 ))
         finally:
@@ -224,30 +226,31 @@ class TestSynthesizeCube:
     def test_zero_noise_pure_sand_constant_planes(self):
         noise = noise_preset("clean")
         spec = MixtureSpec(weights=(0.0, 0.0, 1.0), replicate_count=1, role="train")
-        cube, dark, comp, texture = synthesize_cube(
-            spec, DEFAULT_ENDMEMBERS, noise, specimen_seed=5
-        )
+        cube = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, specimen_seed=5)
+        assert isinstance(cube, SpectralCube)
         expected = np.rint(DEFAULT_ENDMEMBERS.spectra[2])
         for band in range(N_BANDS):
             assert np.all(cube.planes[band] == expected[band])
+        dark = synthesize_dark_frame(noise, derive_seed(5, 1))
         assert np.all(dark.plane == 0)
-        assert texture.value == "Sand"
-        assert comp.sand_pct == 100.0
+        assert classify_composition(spec.composition()).value == "Sand"
+        assert spec.composition().sand_pct == 100.0
 
     def test_same_seed_identical(self):
         noise = noise_preset("bench", seed=3)
         spec = MixtureSpec(weights=(0.2, 0.3, 0.5), replicate_count=1, role="train")
-        a, _, _, _ = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, 77)
-        b, _, _, _ = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, 77)
+        a = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, 77)
+        b = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, 77)
         assert a == b
-        c, _, _, _ = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, 78)
+        c = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, 78)
         assert not np.array_equal(a.planes, c.planes)
 
     def test_roi_mean_recovers_base_level(self):
         noise = noise_preset("bench", seed=9)
         weights = np.array([0.25, 0.35, 0.4])
         spec = MixtureSpec(weights=tuple(weights), replicate_count=1, role="train")
-        cube, dark, _, _ = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, 123)
+        cube = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, 123)
+        dark = synthesize_dark_frame(noise, derive_seed(123, 1))
         corrected = crop_roi(dark_correct(cube, dark), DEFAULT_ROI)
         base = DEFAULT_ENDMEMBERS.mix(weights)
         for band in range(N_BANDS):

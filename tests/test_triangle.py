@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soilspec.core import TextureClass, validate_composition
-from soilspec.errors import AllNonPositive, OffSimplex, WeightSumViolation
+from soilspec.errors import (
+    AllNonPositive,
+    NumericalFailure,
+    OffSimplex,
+    WeightSumViolation,
+)
 from soilspec.triangle import (
     TRIANGLE_RULES,
     classify_composition,
@@ -167,6 +172,20 @@ class TestNormalizePrediction:
         comp = normalize_prediction(clay, silt, sand)
         assert abs(comp.as_array().sum() - 100.0) <= 1e-9
         assert min(comp.clay_pct, comp.silt_pct, comp.sand_pct) >= 0.0
+
+    @pytest.mark.parametrize(
+        "bad", [[np.nan, 1, 1], [np.inf, 1, 1], [1, -np.inf, 1], [1e308, 1e308, 0]]
+    )
+    def test_non_finite_row_is_named(self, bad):
+        with np.errstate(all="raise"):
+            with pytest.raises(NumericalFailure, match="row 1 has a non-finite"):
+                normalize_predictions([[1.0, 2.0, 3.0], bad])
+
+    def test_finite_rows_keep_the_clamp_then_rescale_bits(self):
+        triples = np.random.default_rng(5).uniform(-5, 110, (200, 3))
+        clamped = np.maximum(triples, 0.0)
+        expected = clamped / clamped.sum(axis=1)[:, np.newaxis] * 100.0
+        assert normalize_predictions(triples).tobytes() == expected.tobytes()
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(42)
