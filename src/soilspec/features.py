@@ -25,19 +25,18 @@ from .core import (
 )
 from .cubeio import fmt_float, write_csv_rows
 from .errors import DegenerateBand, DimensionMismatch, EmptyGroup, NotFitted
-from .preprocess import PreprocessedRoi
 
 BLOCK_SIDE = ROI_SIDE // BLOCK_GRID
 BLOCKS_PER_SPECIMEN = BLOCK_GRID * BLOCK_GRID
 
 
-def block_means(roi: PreprocessedRoi | np.ndarray) -> np.ndarray:
-    """Per-band means of the 100 non-overlapping 10x10 blocks.
+def block_means(planes: np.ndarray) -> np.ndarray:
+    """Per-band means of the 100 non-overlapping 10x10 blocks of the
+    (13, 100, 100) planes that :func:`preprocess.preprocess_cube` returns.
 
     Returns a (100, 13) matrix; row (u-1)*10 + (v-1) is block (u, v) of the
     grid, columns follow ascending wavelength order.
     """
-    planes = roi.planes if isinstance(roi, PreprocessedRoi) else np.asarray(roi)
     if planes.shape != (N_BANDS, ROI_SIDE, ROI_SIDE):
         raise DimensionMismatch(
             f"expected ({N_BANDS}, {ROI_SIDE}, {ROI_SIDE}) planes, got {planes.shape}"

@@ -50,57 +50,6 @@ class NormalizationParams:
             raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
 
 
-@dataclass(frozen=True)
-class PreprocessedRoi:
-    """13 normalized 100x100 planes plus the per-band stats used to map them.
-
-    Every pixel of band i lies in [stats[i].mean - std, stats[i].mean + std].
-    """
-
-    planes: np.ndarray  # (13, 100, 100) float64
-    stats: tuple[BandStats, ...]  # length 13
-
-
-def _as_planes(cube: SpectralCube | np.ndarray) -> np.ndarray:
-    planes = cube.planes if isinstance(cube, SpectralCube) else np.asarray(cube)
-    if planes.ndim != 3:
-        raise DimensionMismatch(f"expected (bands, h, w) planes, got {planes.shape}")
-    return planes
-
-
-def _dark_plane(planes: np.ndarray, dark: DarkFrame | np.ndarray) -> np.ndarray:
-    dark_plane = dark.plane if isinstance(dark, DarkFrame) else np.asarray(dark)
-    if dark_plane.shape != planes.shape[1:]:
-        raise DimensionMismatch(
-            f"dark frame {dark_plane.shape} does not match bands {planes.shape[1:]}"
-        )
-    return dark_plane
-
-
-def _abs_difference(planes: np.ndarray, dark_plane: np.ndarray) -> np.ndarray:
-    out = planes.astype(np.float64, order="C")
-    out -= dark_plane.astype(np.float64)
-    return np.abs(out, out=out)
-
-
-def dark_correct(cube: SpectralCube | np.ndarray, dark: DarkFrame | np.ndarray) -> np.ndarray:
-    """Absolute difference |band - dark| per pixel; output is float64, >= 0."""
-    planes = _as_planes(cube)
-    return _abs_difference(planes, _dark_plane(planes, dark))
-
-
-def _window(roi: Roi) -> tuple[slice, slice]:
-    return slice(roi.y1, roi.y1 + ROI_SIDE), slice(roi.x1, roi.x1 + ROI_SIDE)
-
-
-def crop_roi(cube: SpectralCube | np.ndarray, roi: Roi) -> np.ndarray:
-    """Crop the same ROI_SIDE-square window at (x1, y1) from every band."""
-    planes = _as_planes(cube)
-    _, height, width = planes.shape
-    roi.check_fits(height, width)
-    return planes[(slice(None), *_window(roi))].copy()
-
-
 def _deviation_scratch(shape: tuple[int, int]) -> np.ndarray:
     """This thread's float64 buffer for ``x - mean``, viewed as `shape`.
 
@@ -136,7 +85,9 @@ def _normalize_rows(
     with std 0 becomes its mean."""
     mu, sigma = mean[:, np.newaxis], std[:, np.newaxis]
     rows -= mu
-    rows *= params.kappa
+    # A huge kappa overflows to +-inf, which tanh saturates to +-1 exactly.
+    with np.errstate(over="ignore"):
+        rows *= params.kappa
     np.tanh(rows, out=rows)
     rows += 1.0
     rows *= 2.0 * sigma
@@ -181,19 +132,26 @@ def preprocess_cube(
     dark: DarkFrame,
     roi: Roi,
     params: NormalizationParams = NormalizationParams(),
-) -> PreprocessedRoi:
+) -> np.ndarray:
     """Dark-correct, crop, then normalize each band with its own ROI stats.
 
-    Crops before the float64 cast, then measures and maps all bands at once
-    in that one array (see the module docstring).
+    Returns the C-contiguous float64 (13, 100, 100) normalized planes; every
+    pixel of band i lies in [mean_i - std_i, mean_i + std_i] of that band's
+    dark-corrected crop. Crops before the float64 cast, then measures and
+    maps all bands at once in that one array (see the module docstring).
     """
-    planes = _as_planes(cube)
-    dark_plane = _dark_plane(planes, dark)
+    planes = cube.planes
+    dark_plane = dark.plane
+    if dark_plane.shape != planes.shape[1:]:
+        raise DimensionMismatch(
+            f"dark frame {dark_plane.shape} does not match bands {planes.shape[1:]}"
+        )
     roi.check_fits(planes.shape[1], planes.shape[2])
-    window = _window(roi)
-    out = _abs_difference(planes[(slice(None), *window)], dark_plane[window])
+    window = slice(roi.y1, roi.y1 + ROI_SIDE), slice(roi.x1, roi.x1 + ROI_SIDE)
+    out = planes[(slice(None), *window)].astype(np.float64, order="C")
+    out -= dark_plane[window].astype(np.float64)
+    np.abs(out, out=out)
     rows = out.reshape(out.shape[0], -1)
     mean, std = _row_stats(rows)
     _normalize_rows(rows, mean, std, params)
-    stats = tuple(map(BandStats, mean.tolist(), std.tolist()))
-    return PreprocessedRoi(planes=out, stats=stats)
+    return out

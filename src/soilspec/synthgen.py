@@ -374,12 +374,18 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     or non-finite weight, a non-numeric or off-simplex composition, weights
     that do not sum to 1 or do not mix to the row's composition, and a
     texture other than the triangle's for that composition each name the
-    1-based line."""
+    1-based line; a repeated specimen id also names the line it repeats."""
     path = Path(path)
     entries = []
+    first_lines: dict[str, int] = {}
     for line, row in enumerate(read_csv_rows(path, MANIFEST_HEADER, "manifest"), 2):
         if len(row) != len(MANIFEST_HEADER):
             raise MalformedHeader(f"{path}: line {line} has {len(row)} fields")
+        first = first_lines.setdefault(row[0], line)
+        if first != line:
+            raise MalformedHeader(
+                f"{path}: line {line}: specimen id {row[0]!r} repeats line {first}"
+            )
         try:
             weights = (float(row[2]), float(row[3]), float(row[4]))
             composition = validate_composition(

@@ -658,7 +658,8 @@ class TestEndToEnd:
          (1, "trian", "unknown role 'trian'"), (8, "loamy", "unknown texture"),
          (5, "150", "clay component"), (9, None, "has 9 fields"),
          (2, "0.5", "sum to 1"), (2, [3, 2], "not to the row's composition"),
-         (8, "Clay", "texture Clay differs from the triangle's Sand ")],
+         (8, "Clay", "texture Clay differs from the triangle's Sand "),
+         (0, "train-01-01", "specimen id 'train-01-01' repeats line 2")],
     )
     def test_bad_manifest_cell_names_the_line(self, tiny_run, tmp_path, capsys,
                                               column, value, message):
@@ -679,6 +680,17 @@ class TestEndToEnd:
         )
         assert code == 1
         assert "manifest.csv: line 5" in err and message in err
+
+    def test_huge_kappa_extracts_without_a_warning(self, tiny_run, tmp_path, capsys):
+        base, data, features = tiny_run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(
+                ["extract", "--data", str(data), "--out", str(tmp_path / "features"),
+                 "--kappa", "1e308"],
+                capsys,
+            )
+        assert (code, err) == (0, "")
 
     def test_thread_count_leaves_tree_outputs_unchanged(self, tiny_run, capsys):
         # forests fit serially and --threads sets only the KNN query

@@ -1,6 +1,7 @@
-"""Each narrative script in demos/ runs to completion against the package,
-every README import line imports, and each public name has one home: its
-defining module, never a package ``__init__``."""
+"""Each narrative script in demos/ runs to completion against the package
+and every self-check it prints holds, every README import line imports,
+and each public name has one home: its defining module, never a package
+``__init__``."""
 
 import ast
 import os
@@ -33,6 +34,9 @@ def test_demo_runs(script, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    # self-checks print "<claim>: True"; a claim that fails must fail here
+    failed = [line for line in result.stdout.splitlines() if line.endswith(": False")]
+    assert not failed, failed
 
 
 def test_readme_import_lines_import():

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,8 +13,6 @@ from soilspec.errors import DimensionMismatch, RoiOutOfBounds
 from soilspec.preprocess import (
     BandStats,
     NormalizationParams,
-    crop_roi,
-    dark_correct,
     normalize_contrast,
     preprocess_cube,
     roi_stats,
@@ -29,57 +28,96 @@ def make_cube(fill=None, seed=0, side=120):
     return SpectralCube(planes=planes)
 
 
+def zero_dark(side=120):
+    return DarkFrame(plane=np.zeros((side, side), dtype=np.uint16))
+
+
+def reference_preprocess(cube, dark, roi, kappa):
+    """The allocating stage-by-stage form: correct the whole frame, crop,
+    then normalize each band out of place; also returns each band's stats."""
+    corrected = np.abs(cube.planes.astype(np.float64) - dark.plane.astype(np.float64))
+    cropped = corrected[:, roi.y1 : roi.y1 + ROI_SIDE, roi.x1 : roi.x1 + ROI_SIDE]
+    out = np.empty(cropped.shape)
+    stats = []
+    for i, plane in enumerate(cropped.copy()):
+        mu, sigma = float(plane.mean()), float(plane.std())
+        stats.append(BandStats(mu, sigma))
+        if sigma == 0.0:
+            out[i] = mu
+            continue
+        mapped = (mu - sigma) + 2.0 * sigma * (np.tanh(kappa * (plane - mu)) + 1.0) / 2.0
+        out[i] = np.clip(mapped, mu - sigma, mu + sigma)
+    return out, tuple(stats)
+
+
+def normalized_bands(planes):
+    """Each band of float `planes` through roi_stats and normalize_contrast."""
+    params = NormalizationParams()
+    return np.array([normalize_contrast(p, roi_stats(p), params) for p in planes])
+
+
 class TestDarkCorrect:
     def test_identical_inputs_cancel(self):
-        cube = make_cube(seed=1, side=8)
+        cube = make_cube(seed=1, side=100)
         dark = DarkFrame(plane=cube.planes[0].copy())
-        out = dark_correct(SpectralCube(planes=np.tile(dark.plane, (N_BANDS, 1, 1))),
-                           dark)
+        out = preprocess_cube(
+            SpectralCube(planes=np.tile(dark.plane, (N_BANDS, 1, 1))), dark, Roi(0, 0))
         assert np.all(out == 0.0)
 
     def test_absolute_difference_prevents_negatives(self):
-        cube = SpectralCube(planes=np.full((N_BANDS, 2, 2), 5, dtype=np.uint16))
-        dark = DarkFrame(plane=np.full((2, 2), 9, dtype=np.uint16))
-        out = dark_correct(cube, dark)
+        cube = make_cube(fill=5, side=100)
+        dark = DarkFrame(plane=np.full((100, 100), 9, dtype=np.uint16))
+        out = preprocess_cube(cube, dark, Roi(0, 0))
         assert np.all(out == 4.0)
-        assert np.all(out >= 0.0)
 
     def test_zero_dark_is_identity(self):
-        cube = make_cube(seed=2, side=6)
-        out = dark_correct(cube, DarkFrame(plane=np.zeros((6, 6), dtype=np.uint16)))
-        assert np.array_equal(out, cube.planes.astype(float))
+        cube = make_cube(seed=2)
+        out = preprocess_cube(cube, zero_dark(), Roi(10, 10))
+        raw = cube.planes[:, 10:110, 10:110].astype(np.float64)
+        assert np.array_equal(out.view(np.uint64), normalized_bands(raw).view(np.uint64))
 
     def test_dimension_mismatch(self):
-        cube = make_cube(side=6)
+        cube = make_cube(side=100)
         with pytest.raises(DimensionMismatch):
-            dark_correct(cube, DarkFrame(plane=np.zeros((5, 5), dtype=np.uint16)))
+            preprocess_cube(cube, zero_dark(99), Roi(0, 0))
 
     def test_output_nonnegative_random(self):
+        # a zero cube corrects to |0 - D| = D, not to -D
         rng = np.random.default_rng(3)
-        cube = make_cube(seed=3, side=10)
-        dark = DarkFrame(
-            plane=rng.integers(0, 1024, (10, 10), dtype=np.uint16)
-        )
-        assert np.all(dark_correct(cube, dark) >= 0.0)
+        dark = DarkFrame(plane=rng.integers(0, 1024, (100, 100), dtype=np.uint16))
+        out = preprocess_cube(make_cube(fill=0, side=100), dark, Roi(0, 0))
+        magnitude = np.tile(dark.plane.astype(np.float64), (N_BANDS, 1, 1))
+        assert np.array_equal(out, normalized_bands(magnitude))
+        assert not np.allclose(out, normalized_bands(-magnitude))
 
 
 class TestCropRoi:
     def test_identity_crop(self):
+        # Roi(0, 0) of a 100x100 frame is the whole frame: it gives the
+        # bits of the same pixels cropped out of a larger frame
         cube = make_cube(seed=4, side=100)
-        out = crop_roi(cube, Roi(0, 0))
-        assert np.array_equal(out, cube.planes)
+        framed = np.zeros((N_BANDS, 120, 120), dtype=np.uint16)
+        framed[:, 10:110, 10:110] = cube.planes
+        out = preprocess_cube(cube, zero_dark(100), Roi(0, 0))
+        expected = preprocess_cube(SpectralCube(planes=framed), zero_dark(), Roi(10, 10))
+        assert out.shape == (N_BANDS, 100, 100)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
     def test_out_of_bounds(self):
         cube = make_cube(side=100)
         with pytest.raises(RoiOutOfBounds):
-            crop_roi(cube, Roi(50, 50))
+            preprocess_cube(cube, zero_dark(100), Roi(50, 50))
 
     def test_index_shift(self):
-        cube = make_cube(seed=5, side=120)
-        roi = Roi(7, 3)
-        out = crop_roi(cube, roi)
-        assert out[4, 3, 7] == cube.planes[4, 3 + 3, 7 + 7]
+        # one bright pixel inside the window at frame (y, x) = (3 + 3, 7 + 7)
+        # and a brighter one just outside it: only the first is cropped
+        planes = np.full((N_BANDS, 120, 120), 100, dtype=np.uint16)
+        planes[4, 3 + 3, 7 + 7] = 900
+        planes[4, 2, 7 + 7] = 1000
+        out = preprocess_cube(SpectralCube(planes=planes), zero_dark(), Roi(7, 3))
         assert out.shape == (N_BANDS, 100, 100)
+        assert np.unravel_index(np.argmax(out[4]), out[4].shape) == (3, 7)
+        assert np.count_nonzero(out[4] == out[4].max()) == 1
 
 
 class TestRoiStats:
@@ -184,17 +222,18 @@ class TestPreprocessCube:
         cube = make_cube(fill=300)
         dark = DarkFrame(plane=np.zeros((120, 120), dtype=np.uint16))
         out = preprocess_cube(cube, dark, Roi(10, 10))
-        assert np.all(out.planes == 300.0)
-        assert all(s.std == 0.0 for s in out.stats)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert np.all(out == 300.0)
 
     def test_band_ranges_bounded(self):
         cube = make_cube(seed=6)
         rng = np.random.default_rng(7)
         dark = DarkFrame(plane=rng.integers(0, 60, (120, 120), dtype=np.uint16))
         out = preprocess_cube(cube, dark, Roi(10, 10))
-        for i, stats in enumerate(out.stats):
-            assert np.all(out.planes[i] >= stats.mean - stats.std)
-            assert np.all(out.planes[i] <= stats.mean + stats.std)
+        _, band_stats = reference_preprocess(cube, dark, Roi(10, 10), 0.03)
+        for i, stats in enumerate(band_stats):
+            assert np.all(out[i] >= stats.mean - stats.std)
+            assert np.all(out[i] <= stats.mean + stats.std)
 
     def test_stage_order_is_pinned(self):
         # Craft pixels {10, 30} with dark 20: |X - D| is constant 10, so the
@@ -206,53 +245,29 @@ class TestPreprocessCube:
         dark = DarkFrame(plane=np.full((120, 120), 20, dtype=np.uint16))
         roi = Roi(10, 10)
         out = preprocess_cube(cube, dark, roi)
-        assert np.all(out.planes == 10.0)
+        assert np.all(out == 10.0)
 
         # permuted order: normalize the raw cropped ROI first, then |. - D|
-        from soilspec.preprocess import crop_roi as cr, normalize_contrast as nc, \
-            roi_stats as rs
-        cropped_raw = cr(cube, roi).astype(float)
-        permuted = np.empty_like(cropped_raw)
-        for i in range(N_BANDS):
-            stats = rs(cropped_raw[i])
-            permuted[i] = np.abs(nc(cropped_raw[i], stats,
-                                    NormalizationParams()) - 20.0)
-        assert not np.allclose(permuted, out.planes)
-
-
-def reference_preprocess(cube, dark, roi, kappa):
-    """The allocating stage-by-stage form: correct the whole frame, crop,
-    then normalize each band out of place."""
-    corrected = np.abs(cube.planes.astype(np.float64) - dark.plane.astype(np.float64))
-    cropped = corrected[:, roi.y1 : roi.y1 + ROI_SIDE, roi.x1 : roi.x1 + ROI_SIDE]
-    out = np.empty(cropped.shape)
-    stats = []
-    for i, plane in enumerate(cropped.copy()):
-        mu, sigma = float(plane.mean()), float(plane.std())
-        stats.append(BandStats(mu, sigma))
-        if sigma == 0.0:
-            out[i] = mu
-            continue
-        mapped = (mu - sigma) + 2.0 * sigma * (np.tanh(kappa * (plane - mu)) + 1.0) / 2.0
-        out[i] = np.clip(mapped, mu - sigma, mu + sigma)
-    return out, tuple(stats)
+        cropped_raw = cube.planes[:, 10:110, 10:110].astype(float)
+        permuted = np.abs(normalized_bands(cropped_raw) - 20.0)
+        assert not np.allclose(permuted, out)
 
 
 class TestInPlacePreprocess:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("roi", [Roi(10, 10), Roi(0, 20), Roi(20, 0)])
+    @pytest.mark.parametrize("roi", [Roi(10, 10), Roi(0, 20), Roi(20, 0), Roi(0, 0)])
     @pytest.mark.parametrize("kappa", [0.03, 0.5])
     def test_bits_equal_the_allocating_form(self, seed, roi, kappa):
+        side = ROI_SIDE if roi == Roi(0, 0) else 120  # Roi(0, 0) crops a whole frame
         rng = np.random.default_rng(seed + 10)
-        dark = DarkFrame(plane=rng.integers(0, 90, (120, 120), dtype=np.uint16))
-        planes = make_cube(seed=seed).planes.copy()
+        dark = DarkFrame(plane=rng.integers(0, 90, (side, side), dtype=np.uint16))
+        planes = make_cube(seed=seed, side=side).planes.copy()
         planes[4] = dark.plane + 77  # corrects to a constant: sigma == 0
         cube = SpectralCube(planes=planes)
         out = preprocess_cube(cube, dark, roi, NormalizationParams(kappa=kappa))
         expected, stats = reference_preprocess(cube, dark, roi, kappa)
-        assert np.array_equal(out.planes.view(np.uint64), expected.view(np.uint64))
-        assert out.stats == stats
-        assert out.stats[4].std == 0.0
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert stats[4].std == 0.0 and np.all(out[4] == stats[4].mean)
 
     @pytest.mark.parametrize("flat_bands", [(0,), (6,), (12,), (0, 6, 12)])
     @pytest.mark.parametrize(
@@ -273,16 +288,16 @@ class TestInPlacePreprocess:
         kappa = 0.5
         out = preprocess_cube(cube, dark, roi, NormalizationParams(kappa=kappa))
         expected, stats = reference_preprocess(cube, dark, roi, kappa)
-        assert np.array_equal(out.planes.view(np.uint64), expected.view(np.uint64))
-        assert out.stats == stats
-        assert [b for b, s in enumerate(out.stats) if s.std == 0.0] == list(flat_bands)
-        saturated = out.planes[3]
-        mu, sigma = out.stats[3].mean, out.stats[3].std
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert [b for b, s in enumerate(stats) if s.std == 0.0] == list(flat_bands)
+        saturated = out[3]
+        mu, sigma = stats[3].mean, stats[3].std
         assert set(np.unique(saturated).tolist()) == {mu - sigma, mu + sigma}
 
     def test_threads_keep_their_own_scratch(self):
         # more workers than cores and a short switch interval: a deviation
-        # buffer shared between threads would mix two cubes' stats
+        # buffer shared between threads would mix two cubes' stats and so
+        # their planes
         dark = DarkFrame(plane=np.random.default_rng(22).integers(
             0, 90, (120, 120), dtype=np.uint16))
         cubes = [make_cube(seed=seed) for seed in range(40, 64)]
@@ -296,8 +311,7 @@ class TestInPlacePreprocess:
         finally:
             sys.setswitchinterval(interval)
         for out, reference in zip(got, expected * 4):
-            assert out.stats == reference.stats
-            assert np.array_equal(out.planes, reference.planes)
+            assert np.array_equal(out.view(np.uint64), reference.view(np.uint64))
 
     def test_fortran_ordered_cube_gives_the_same_bits(self):
         dark = DarkFrame(plane=np.zeros((120, 120), dtype=np.uint16))
@@ -305,8 +319,7 @@ class TestInPlacePreprocess:
         fortran = SpectralCube(planes=np.asfortranarray(cube.planes))
         out = preprocess_cube(fortran, dark, Roi(10, 10))
         expected = preprocess_cube(cube, dark, Roi(10, 10))
-        assert out.stats == expected.stats
-        assert np.array_equal(out.planes.view(np.uint64), expected.planes.view(np.uint64))
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
     def test_normalize_contrast_leaves_its_input(self):
         plane = np.random.default_rng(3).uniform(0, 1023, (100, 100))
@@ -367,15 +380,25 @@ class TestInPlacePreprocess:
     @pytest.mark.parametrize(
         "cube, dark, roi, error, message",
         [(np.zeros((N_BANDS, 120)), np.zeros((120, 120)), Roi(10, 10),
-          DimensionMismatch, "expected (bands, h, w) planes"),
-         (make_cube(), np.zeros((120, 119)), Roi(10, 10),
+          DimensionMismatch, "cube planes must be 3-D"),
+         (make_cube().planes, np.zeros((120, 119)), Roi(10, 10),
           DimensionMismatch, "does not match bands"),
-         (make_cube(), np.zeros((120, 120)), Roi(30, 10),
+         (make_cube().planes, np.zeros((120, 120)), Roi(30, 10),
           RoiOutOfBounds, "exceeds 120x120 image"),
-         (make_cube(), np.zeros((120, 120)), Roi(-1, 10),
+         (make_cube().planes, np.zeros((120, 120)), Roi(-1, 10),
           RoiOutOfBounds, "negative ROI origin")],
     )
     def test_checks_and_messages_kept(self, cube, dark, roi, error, message):
+        # a 2-D cube stops at SpectralCube, whose planes are always 3-D
         with pytest.raises(error) as caught:
-            preprocess_cube(cube, dark, roi)
+            preprocess_cube(SpectralCube(planes=cube), DarkFrame(plane=dark), roi)
         assert message in str(caught.value)
+
+    def test_huge_kappa_saturates_without_a_warning(self):
+        plane = np.random.default_rng(5).uniform(0, 1023, (100, 100))
+        stats = roi_stats(plane)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize_contrast(plane, stats, NormalizationParams(kappa=1e308))
+        assert set(np.unique(out).tolist()) == {
+            stats.mean - stats.std, stats.mean + stats.std}

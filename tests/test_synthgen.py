@@ -8,7 +8,7 @@ import pytest
 from soilspec.core import MAX_INTENSITY, N_BANDS, SpectralCube, validate_composition
 from soilspec.errors import MalformedHeader, TruncatedPayload
 from soilspec import synthgen
-from soilspec.preprocess import crop_roi, dark_correct, preprocess_cube
+from soilspec.preprocess import preprocess_cube
 from soilspec.seeding import derive_seed
 from soilspec.synthgen import (
     DEFAULT_ENDMEMBERS,
@@ -251,7 +251,10 @@ class TestSynthesizeCube:
         spec = MixtureSpec(weights=tuple(weights), replicate_count=1, role="train")
         cube = synthesize_cube(spec, DEFAULT_ENDMEMBERS, noise, 123)
         dark = synthesize_dark_frame(noise, derive_seed(123, 1))
-        corrected = crop_roi(dark_correct(cube, dark), DEFAULT_ROI)
+        window = (slice(DEFAULT_ROI.y1, DEFAULT_ROI.y1 + 100),
+                  slice(DEFAULT_ROI.x1, DEFAULT_ROI.x1 + 100))
+        corrected = np.abs(cube.planes[(slice(None), *window)].astype(float)
+                           - dark.plane[window].astype(float))
         base = DEFAULT_ENDMEMBERS.mix(weights)
         for band in range(N_BANDS):
             level = base[band]
@@ -314,6 +317,38 @@ class TestGenerateDataset:
         ).read_bytes()
 
 
+class TestLoadManifest:
+    @pytest.fixture
+    def manifest_lines(self, tmp_path):
+        noise = noise_preset("bench", seed=1)
+        manifest = generate_dataset(
+            tiny_benchmark(), DEFAULT_ENDMEMBERS, noise, tmp_path / "data"
+        )
+        return manifest.read_text().splitlines()
+
+    def test_repeated_row_names_both_lines(self, manifest_lines, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("\n".join(manifest_lines + [manifest_lines[1]]) + "\n")
+        first_id = manifest_lines[1].split(",")[0]
+        with pytest.raises(MalformedHeader) as caught:
+            load_manifest(path)
+        assert str(caught.value) == (
+            f"{path}: line {len(manifest_lines) + 1}: specimen id {first_id!r} "
+            f"repeats line 2"
+        )
+
+    def test_one_id_as_train_and_validation(self, manifest_lines, tmp_path):
+        line = next(i for i, text in enumerate(manifest_lines)
+                    if text.split(",")[1] == "validation")
+        fields = manifest_lines[line].split(",")
+        fields[0] = manifest_lines[1].split(",")[0]
+        manifest_lines[line] = ",".join(fields)
+        path = tmp_path / "manifest.csv"
+        path.write_text("\n".join(manifest_lines) + "\n")
+        with pytest.raises(MalformedHeader, match=f"line {line + 1}: .* repeats line 2"):
+            load_manifest(path)
+
+
 class TestExtractTables:
     def test_row_counts_per_role(self, tmp_path):
         noise = noise_preset("bench", seed=6)
@@ -338,16 +373,17 @@ class TestExtractTables:
     def test_thread_count_leaves_tables_and_stats_unchanged(self, tmp_path,
                                                            monkeypatch):
         # each worker preprocesses in its own scratch buffer; a shared one
-        # would mix two cubes' deviations under a short switch interval
+        # would mix two cubes' deviations, and so their stats and planes,
+        # under a short switch interval
         noise = noise_preset("stress", seed=9)
         manifest = generate_dataset(
             tiny_benchmark(n_train=4), DEFAULT_ENDMEMBERS, noise, tmp_path / "data"
         )
-        stats = {}
+        planes = {}
 
         def recording(cube, *args):
             out = preprocess_cube(cube, *args)
-            stats[threads].append((cube.planes.tobytes(), out.stats))
+            planes[threads].append((cube.planes.tobytes(), out.tobytes()))
             return out
 
         monkeypatch.setattr(synthgen, "preprocess_cube", recording)
@@ -356,15 +392,15 @@ class TestExtractTables:
         sys.setswitchinterval(1e-6)
         try:
             for threads in (1, 2, 3):
-                stats[threads] = []
+                planes[threads] = []
                 tables[threads] = extract_tables(manifest, threads=threads)
         finally:
             sys.setswitchinterval(interval)
-        assert len(stats[1]) == 10
-        for records in stats.values():  # workers finish in any order
+        assert len(planes[1]) == 10
+        for records in planes.values():  # workers finish in any order
             records.sort(key=lambda record: record[0])
         for threads in (2, 3):
-            assert stats[threads] == stats[1]
+            assert planes[threads] == planes[1]
             for role in ("train", "validation"):
                 got, expected = tables[threads][role], tables[1][role]
                 assert got.features.tobytes() == expected.features.tobytes()
