@@ -147,7 +147,6 @@ def cmd_evaluate(args) -> int:
             n_trees=args.rf_trees,
             max_depth=args.max_depth,
             min_leaf=args.min_leaf,
-            n_jobs=args.threads,
         )
         for name in args.models
     ]
@@ -257,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=_positive_int, default=None)
     p.add_argument("--min-leaf", type=_positive_int, default=ModelSpec.min_leaf)
     p.add_argument("--external-validation", action="store_true")
-    p.add_argument("--threads", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="recorded in run_config.json; evaluate runs on one thread")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("signatures", help="emit per-group spectral signatures")

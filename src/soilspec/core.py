@@ -135,7 +135,7 @@ def _check_intensities(planes: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralCube:
     """13 aligned uint16 planes, one per BAND_WAVELENGTHS_NM entry, in order."""
 
@@ -152,15 +152,8 @@ class SpectralCube:
         _check_intensities(planes)
         object.__setattr__(self, "planes", planes)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpectralCube):
-            return NotImplemented
-        return self.planes.shape == other.planes.shape and bool(
-            np.array_equal(self.planes, other.planes)
-        )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DarkFrame:
     """Single no-illumination plane used for dark-current correction."""
 
@@ -172,13 +165,6 @@ class DarkFrame:
             raise DimensionMismatch(f"dark frame must be 2-D, got {plane.shape}")
         _check_intensities(plane)
         object.__setattr__(self, "plane", plane)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DarkFrame):
-            return NotImplemented
-        return self.plane.shape == other.plane.shape and bool(
-            np.array_equal(self.plane, other.plane)
-        )
 
 
 @dataclass

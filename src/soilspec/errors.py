@@ -120,4 +120,5 @@ class SpecimenOverlap(SoilspecError):
 
 
 class FoldPlanError(SoilspecError):
-    """Too few units for N_FOLDS folds, or a specimen of mixed texture."""
+    """Too few units for N_FOLDS folds, a specimen of mixed texture, or a test
+    fold too small to score."""

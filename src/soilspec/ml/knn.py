@@ -3,7 +3,6 @@
 Distances are Euclidean. Neighbors come from the exact KD-tree search in
 :mod:`.neighbors`, ranked by (distance, training row index), so duplicated
 points resolve reproducibly; vote ties go to the smallest class index.
-``n_jobs`` is the number of tree query workers.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ from .neighbors import (
 
 
 class _KnnBase:
-    def __init__(self, k: int = 5, n_jobs: int = 1):
+    def __init__(self, k: int = 5):
         if k < 1:
             raise KTooLarge(f"k must be >= 1, got {k}")
         self.k = k
-        self.n_jobs = max(1, n_jobs)
         self.train_x: np.ndarray | None = None
         self.train_y: np.ndarray | None = None
 
@@ -60,7 +58,7 @@ class _KnnBase:
                 f"KNN queries of shape {queries.shape} need {dim} columns"
             )
         check_finite(queries, "KNN query")
-        return k_nearest(self._tree, self.k, queries, workers=self.n_jobs)
+        return k_nearest(self._tree, self.k, queries)
 
     def params_digest(self) -> str:
         """Hash of everything the fit depends on (leakage audits)."""

@@ -87,11 +87,12 @@ def regression_metrics(truth: np.ndarray, predicted: np.ndarray) -> RegressionRe
         truth = truth[:, np.newaxis]
     if predicted.ndim == 1:
         predicted = predicted[:, np.newaxis]
-    if truth.shape != predicted.shape or truth.shape[0] < 2:
+    if truth.shape != predicted.shape:
         raise LengthMismatch(
-            f"truth {truth.shape} and prediction {predicted.shape} must match "
-            "with >= 2 rows"
+            f"truth {truth.shape} and prediction {predicted.shape} shapes differ"
         )
+    if truth.shape[0] < 2:
+        raise LengthMismatch(f"R^2 needs at least 2 rows, got {truth.shape[0]}")
     residual = ((truth - predicted) ** 2).sum(axis=0)
     spread = ((truth - truth.mean(axis=0)) ** 2).sum(axis=0)
     flat = np.flatnonzero(spread == 0.0)

@@ -71,9 +71,7 @@ def build_tree(points: np.ndarray):
     return cKDTree(points)
 
 
-def k_nearest(
-    tree, k: int, queries: np.ndarray | None = None, workers: int = 1
-) -> np.ndarray:
+def k_nearest(tree, k: int, queries: np.ndarray | None = None) -> np.ndarray:
     """(n_queries, k) tree-row indices of each query's k nearest, nearest first.
 
     With ``queries=None`` every tree row is its own query and never its own
@@ -95,8 +93,7 @@ def k_nearest(
         unresolved = []
         for start in range(0, rows.size, step):
             part = rows[start : start + step]
-            dist, index = tree.query(queries[part], k=range(1, width + 1),
-                                     workers=workers)
+            dist, index = tree.query(queries[part], k=range(1, width + 1))
             # The tree sums squares in another order than the scan, a few
             # ulps apart: pad the radius, and floor it so a zero k-th distance
             # keeps duplicates. Every row inside it is among the `width`

@@ -134,7 +134,6 @@ class ModelSpec:
     n_trees: int = 20
     max_depth: int | None = None
     min_leaf: int = 1
-    n_jobs: int = 1  # KNN query workers; trees always fit serially
 
     def __post_init__(self) -> None:
         if self.name not in MODEL_NAMES:
@@ -143,7 +142,7 @@ class ModelSpec:
 
 def _make_classifier(spec: ModelSpec, seed: int):
     if spec.name == "knn":
-        return KnnClassifier(k=spec.k, n_jobs=spec.n_jobs)
+        return KnnClassifier(k=spec.k)
     if spec.name == "rf":
         return RandomForestClassifier(
             n_trees=spec.n_trees,
@@ -184,7 +183,7 @@ def _make_regressor(spec: ModelSpec, seed: int):
     # targets: neighbor choice ignores targets, so the joint fit predicts
     # exactly what three per-component fits would.
     if spec.name == "knn":
-        return KnnRegressor(k=spec.k, n_jobs=spec.n_jobs)
+        return KnnRegressor(k=spec.k)
     if spec.name == "rf":
         return _PerComponentRegressor([
             RandomForestRegressor(
@@ -381,6 +380,14 @@ def run_strategies(
     for strategy in strategies:
         if strategy not in STRATEGY_IDS:
             raise ValueError(f"unknown strategy {strategy}")
+    if 2 in map(_family, strategies):  # R^2 of a fold needs two test rows
+        for fold in range(1, N_FOLDS + 1):
+            rows = plan.test_index(fold).size
+            if rows < 2:
+                raise FoldPlanError(
+                    f"fold {fold} has {rows} test row(s); strategies 2 and 3 "
+                    "need at least 2 per fold"
+                )
     results = {
         (s, spec.name): StrategyResult(strategy=s, model=spec.name)
         for s in strategies

@@ -50,16 +50,17 @@ class NormalizationParams:
             raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
 
 
-def _deviation_scratch(shape: tuple[int, int]) -> np.ndarray:
-    """This thread's float64 buffer for ``x - mean``, viewed as `shape`.
+def thread_scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """This thread's float64 buffer `name`, viewed as C-contiguous `shape`.
 
     Every use overwrites it; reusing it spares each cube fresh pages for a
-    1 MB temporary.
+    megabyte-sized temporary. Each name is its own buffer, grown on demand.
     """
-    size = shape[0] * shape[1]
-    buffer = getattr(_SCRATCH, "buffer", None)
+    size = math.prod(shape)
+    buffer = getattr(_SCRATCH, name, None)
     if buffer is None or buffer.size < size:
-        buffer = _SCRATCH.buffer = np.empty(size)
+        buffer = np.empty(size)
+        setattr(_SCRATCH, name, buffer)
     return buffer[:size].reshape(shape)
 
 
@@ -69,7 +70,7 @@ def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = rows.shape[1]
     mean = np.add.reduce(rows, axis=1)
     mean /= n
-    deviation = _deviation_scratch(rows.shape)
+    deviation = thread_scratch("deviation", rows.shape)
     np.subtract(rows, mean[:, np.newaxis], out=deviation)
     np.square(deviation, out=deviation)
     std = np.add.reduce(deviation, axis=1)

@@ -16,7 +16,6 @@ allocating formula in its order, so reuse changes no bit.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -46,7 +45,7 @@ from .cubeio import (
 )
 from .errors import IoFailure, MalformedHeader, SoilspecError
 from .features import BLOCK_SIDE, block_means, flatten_observations
-from .preprocess import NormalizationParams, preprocess_cube
+from .preprocess import NormalizationParams, preprocess_cube, thread_scratch
 from .seeding import derive_seed
 from .triangle import classify_composition, mixture_composition
 
@@ -79,7 +78,6 @@ DEFAULT_ENDMEMBER_SPECTRA = np.array(
 IMAGE_SIDE = 120
 DEFAULT_ROI = Roi(x1=10, y1=10)
 _CUBE_SHAPE = (N_BANDS, IMAGE_SIDE, IMAGE_SIDE)
-_SCRATCH = threading.local()
 
 
 @dataclass(frozen=True)
@@ -230,19 +228,6 @@ def synthesize_dark_frame(noise: NoiseModel, seed: int) -> DarkFrame:
     return DarkFrame(plane=plane)
 
 
-def _cube_scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's float64 signal, pixel and shot buffers, one cube each.
-
-    Every call overwrites them in full; reusing them spares each cube fresh
-    pages for three 1.5 MB temporaries.
-    """
-    buffers = getattr(_SCRATCH, "buffers", None)
-    if buffers is None:
-        buffers = tuple(np.empty(_CUBE_SHAPE) for _ in range(3))
-        _SCRATCH.buffers = buffers
-    return buffers
-
-
 def synthesize_cube(
     spec: MixtureSpec,
     endmembers: EndmemberLibrary,
@@ -264,7 +249,9 @@ def synthesize_cube(
     # surface patch whose packing shifts the whole spectrum together.
     block_noise = rng.normal(0.0, noise.block_texture_std, (grid, grid))
     block_pixels = np.kron(block_noise, np.ones((BLOCK_SIDE, BLOCK_SIDE)))
-    signal, pixels, shot = _cube_scratch()
+    signal, pixels, shot = (
+        thread_scratch(name, _CUBE_SHAPE) for name in ("signal", "pixels", "shot")
+    )
     np.add(base[:, np.newaxis, np.newaxis], block_pixels[np.newaxis, :, :], out=signal)
     # dark offsets: standard normals * std + mean, the same bits as rng.normal
     rng.standard_normal(out=pixels)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -583,6 +584,23 @@ class TestEndToEnd:
         assert code == 1
         assert f"{message} cannot fill N_FOLDS = 5 folds" in err
 
+    def test_one_row_test_fold_names_the_fold(self, tiny_run, tmp_path, capsys):
+        # 7 rows from 7 specimens deal into test folds of 2, 2, 1, 1, 1 rows
+        base, data, features = tiny_run
+        rows = (features / "train.csv").read_bytes().splitlines(keepends=True)
+        (tmp_path / "train.csv").write_bytes(
+            b"".join([rows[0]] + [rows[1 + 100 * i] for i in range(7)])
+        )
+        out = tmp_path / "results"
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out", str(out),
+             "--models", "knn", "--strategies", "2"],
+            capsys,
+        )
+        assert code == 1
+        assert "fold 3 has 1 test row(s); strategies 2 and 3 need at least 2" in err
+        assert list(out.iterdir()) == []
+
     def test_header_only_train_csv_names_the_file(self, tiny_run, tmp_path, capsys):
         base, data, features = tiny_run
         header = (features / "train.csv").read_text().splitlines()[0]
@@ -692,9 +710,25 @@ class TestEndToEnd:
             )
         assert (code, err) == (0, "")
 
+    def test_evaluate_starts_no_thread(self, tiny_run, capsys, monkeypatch):
+        # a later process pool may fork inside evaluate only if no thread runs
+        base, data, features = tiny_run
+        starts = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (starts.append(thread), start(thread)))
+        code, _, _ = run(
+            ["evaluate", "--features", str(features), "--out",
+             str(base / "one-thread"), "--threads", "2", "--models", "knn,dt",
+             "--strategies", "1,2,3", "--external-validation"],
+            capsys,
+        )
+        assert code == 0
+        assert starts == []
+
     def test_thread_count_leaves_tree_outputs_unchanged(self, tiny_run, capsys):
-        # forests fit serially and --threads sets only the KNN query
-        # workers, so the tree models write the same bytes at any count
+        # forests fit serially and evaluate runs on one thread at any
+        # --threads, so the tree models write the same bytes at any count
         base, data, features = tiny_run
         outputs = []
         for threads in ("1", "2"):

@@ -52,7 +52,7 @@ class TestCubeContainer:
         cube = make_cube(seed=1)
         path = tmp_path / "cube.msc"
         write_cube(cube, path)
-        assert read_cube(path) == cube
+        assert np.array_equal(read_cube(path).planes, cube.planes)
 
     def test_write_is_deterministic(self, tmp_path):
         cube = make_cube(seed=2)
@@ -77,7 +77,7 @@ class TestCubeContainer:
         cube = make_cube(seed=seed, height=height, width=width)
         path = tmp_path_factory.mktemp("cubes") / "c.msc"
         write_cube(cube, path)
-        assert read_cube(path) == cube
+        assert np.array_equal(read_cube(path).planes, cube.planes)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.msc"
@@ -136,7 +136,7 @@ class TestCubeContainer:
         dark = DarkFrame(plane=rng.integers(0, 100, (5, 7), dtype=np.uint16))
         path = tmp_path / "dark.msc"
         write_dark_frame(dark, path)
-        assert read_dark_frame(path) == dark
+        assert np.array_equal(read_dark_frame(path).plane, dark.plane)
 
     def test_dark_frame_rejects_multiband(self, tmp_path):
         path = tmp_path / "cube.msc"

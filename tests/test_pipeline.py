@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import soilspec.pipeline
 from soilspec.core import N_BANDS, ObservationTable
 from soilspec.errors import FoldPlanError, SpecimenOverlap
 from soilspec.ml.metrics import classification_metrics, regression_metrics
@@ -254,6 +255,19 @@ class TestStrategies:
         result = run_one(table, plan, 3, ModelSpec("dt", max_depth=6))
         for metrics in result.fold_metrics():
             assert 0.0 <= metrics["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("strategies", [[2], [3], [1, 2]])
+    def test_one_row_test_fold_fails_before_any_fit(self, monkeypatch, strategies):
+        # 7 rows deal into test folds of 2, 2, 1, 1, 1: R^2 needs 2 rows
+        table = cluster_table(n_mixtures=7, specimens_per_mixture=1,
+                              blocks_per_specimen=1, seed=40)
+        plan = make_folds(table, seed=41)
+        fits = []
+        monkeypatch.setattr(soilspec.pipeline, "fit_fold",
+                            lambda *args, **kwargs: fits.append(args))
+        with pytest.raises(FoldPlanError, match=r"^fold 3 has 1 test row\(s\);"):
+            run_strategies(table, plan, strategies, [ModelSpec("knn", k=1)])
+        assert fits == []
 
 
 class TestLeakage:
