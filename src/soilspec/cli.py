@@ -19,7 +19,7 @@ from pathlib import Path
 from . import pipeline, synthgen
 from .core import Roi, validate_composition
 from .cubeio import read_observation_csv, write_observation_csv
-from .errors import SoilspecError
+from .errors import SoilspecError, UnscorableTable
 from .features import MinMaxScaler, emit_signatures
 from .pipeline import ModelSpec
 from .preprocess import NormalizationParams
@@ -151,10 +151,14 @@ def cmd_evaluate(args) -> int:
         for name in args.models
     ]
     if args.external_validation:  # fail before the cross-validation runs
-        validation = read_observation_csv(args.features / "validation.csv")
-        reports = pipeline.run_external_validation(
-            table, validation, *specs, seed=args.seed
-        )
+        validation_path = args.features / "validation.csv"
+        validation = read_observation_csv(validation_path)
+        try:
+            reports = pipeline.run_external_validation(
+                table, validation, *specs, seed=args.seed
+            )
+        except UnscorableTable as exc:
+            raise UnscorableTable(f"{validation_path}: {exc}") from None
     plan = pipeline.make_folds(
         table, seed=args.seed, granularity=args.granularity, stratify=args.stratify
     )

@@ -153,7 +153,7 @@ def fmt_float(value: float) -> str:
 
 # Rows formatted and written per chunk: one string for a whole table would
 # hold every row's text and floats at once.
-_CSV_CHUNK_ROWS = 2000
+_CSV_CHUNK_ROWS = 500
 
 
 def _csv_field(text: str) -> str:

@@ -121,4 +121,10 @@ class SpecimenOverlap(SoilspecError):
 
 class FoldPlanError(SoilspecError):
     """Too few units for N_FOLDS folds, a specimen of mixed texture, or a test
-    fold too small to score."""
+    fold that R^2 cannot score: fewer than 2 rows or one value of a
+    component."""
+
+
+class UnscorableTable(SoilspecError):
+    """An external-validation table that R^2 cannot score: fewer than 2 rows
+    or one value of a component."""

@@ -47,32 +47,34 @@ def block_means(planes: np.ndarray) -> np.ndarray:
 
 
 def flatten_observations(
-    specimens: Iterable[tuple[np.ndarray, Composition, TextureClass, str]],
+    blocks: np.ndarray,
+    specimens: Iterable[tuple[Composition, TextureClass, str]],
 ) -> ObservationTable:
-    """Stack per-specimen feature matrices into one block-level table.
+    """View per-specimen feature matrices as one block-level table.
 
-    Each specimen contributes 100 rows that share its composition, texture
-    class, and id; block_row/block_col record the grid position (1..10).
+    ``blocks[i]`` is the (100, 13) :func:`block_means` matrix of the i-th
+    specimen, whose (composition, texture class, id) its 100 rows share;
+    block_row/block_col record the grid position (1..10). The features of a
+    C-contiguous float64 ``blocks`` are a view of it, not a copy.
     """
     specimens = list(specimens)
-    for matrix, _, _, specimen_id in specimens:
-        if np.shape(matrix) != (BLOCKS_PER_SPECIMEN, N_BANDS):
-            raise DimensionMismatch(
-                f"feature matrix for {specimen_id!r} has shape {np.shape(matrix)}"
-            )
-    features = np.array([s[0] for s in specimens], dtype=np.float64)
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if blocks.shape != (len(specimens), BLOCKS_PER_SPECIMEN, N_BANDS):
+        raise DimensionMismatch(
+            f"blocks of {len(specimens)} specimens have shape {blocks.shape}"
+        )
     grid = np.arange(1, BLOCK_GRID + 1)
     return ObservationTable(
         specimen_ids=np.repeat(
-            np.array([s[3] for s in specimens], dtype=object), BLOCKS_PER_SPECIMEN
+            np.array([s[2] for s in specimens], dtype=object), BLOCKS_PER_SPECIMEN
         ),
         block_rows=np.tile(np.repeat(grid, BLOCK_GRID), len(specimens)),
         block_cols=np.tile(grid, BLOCK_GRID * len(specimens)),
-        features=features.reshape(-1, N_BANDS),
+        features=blocks.reshape(-1, N_BANDS),
         compositions=np.repeat(
-            [s[1].as_array() for s in specimens], BLOCKS_PER_SPECIMEN, axis=0
+            [s[0].as_array() for s in specimens], BLOCKS_PER_SPECIMEN, axis=0
         ).reshape(-1, 3),
-        texture_codes=np.repeat([s[2].index for s in specimens], BLOCKS_PER_SPECIMEN),
+        texture_codes=np.repeat([s[1].index for s in specimens], BLOCKS_PER_SPECIMEN),
     )
 
 

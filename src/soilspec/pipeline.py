@@ -22,11 +22,12 @@ import numpy as np
 
 from .core import N_CLASSES, ObservationTable, TextureClass
 from .cubeio import fmt_float, write_csv_rows
-from .errors import FoldPlanError, OffSimplex, SpecimenOverlap
+from .errors import FoldPlanError, OffSimplex, SpecimenOverlap, UnscorableTable
 from .features import MinMaxScaler, composition_group_labels
 from .lda import LdaModel, fit_lda, project, scatter
 from .ml.knn import KnnClassifier, KnnRegressor
 from .ml.metrics import (
+    COMPONENTS,
     ClassificationReport,
     RegressionReport,
     classification_metrics,
@@ -49,6 +50,16 @@ STRATEGY_IDS = (1, 2, 3)
 # Sub-seed tags for per-fold derived randomness.
 _SEED_SMOTE = 1
 _SEED_MODEL = 2
+
+
+def _constant_components(compositions: np.ndarray) -> str:
+    """The components with one value in all rows, e.g. "clay, sand"; R^2 is
+    undefined for them."""
+    return ", ".join(
+        name
+        for name, column in zip(COMPONENTS, compositions.T)
+        if column.min() == column.max()
+    )
 
 
 def _family(strategy: int) -> int:
@@ -380,13 +391,19 @@ def run_strategies(
     for strategy in strategies:
         if strategy not in STRATEGY_IDS:
             raise ValueError(f"unknown strategy {strategy}")
-    if 2 in map(_family, strategies):  # R^2 of a fold needs two test rows
+    if 2 in map(_family, strategies):  # R^2 must be defined on every fold
         for fold in range(1, N_FOLDS + 1):
-            rows = plan.test_index(fold).size
-            if rows < 2:
+            truth = table.compositions[plan.test_index(fold)]
+            if len(truth) < 2:
                 raise FoldPlanError(
-                    f"fold {fold} has {rows} test row(s); strategies 2 and 3 "
+                    f"fold {fold} has {len(truth)} test row(s); strategies 2 and 3 "
                     "need at least 2 per fold"
+                )
+            constant = _constant_components(truth)
+            if constant:
+                raise FoldPlanError(
+                    f"fold {fold}: every test row has the same {constant}; "
+                    "strategies 2 and 3 need two values of each component per fold"
                 )
     results = {
         (s, spec.name): StrategyResult(strategy=s, model=spec.name)
@@ -418,12 +435,23 @@ def run_external_validation(
 ) -> dict[str, RegressionReport]:
     """Fit scaler + projection + one regressor per spec on the full training
     table, then score the frozen transforms on the external validation
-    table. Returns ``{model: report}``."""
+    table. Returns ``{model: report}``. Before the fit, rejects shared
+    specimen ids, and a validation table R^2 cannot score."""
     train_ids = set(map(str, train_table.specimen_ids))
     validation_ids = set(map(str, validation_table.specimen_ids))
     shared = train_ids & validation_ids
     if shared:
         raise SpecimenOverlap(f"specimen ids in both tables: {sorted(shared)[:5]}")
+    if len(validation_table) < 2:
+        raise UnscorableTable(
+            f"{len(validation_table)} row(s); R^2 needs at least 2"
+        )
+    constant = _constant_components(validation_table.compositions)
+    if constant:
+        raise UnscorableTable(
+            f"every row has the same {constant}; R^2 needs two values of each "
+            "component"
+        )
     artifacts = fit_fold(
         train_table, np.arange(len(train_table)), 2, *specs, seed=derive_seed(seed, 4)
     )

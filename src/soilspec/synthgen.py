@@ -9,9 +9,10 @@ to reproduce real soil optics.
 
 All randomness derives from one master seed through an explicit index path
 (role, mixture, replicate), so generation is reproducible and specimens can
-be synthesized in any order. Each thread renders its cubes in its own three
-reusable float64 buffers, in place, with the IEEE operations of the
-allocating formula in its order, so reuse changes no bit.
+be synthesized in any order. Each thread renders its cubes in place in its
+own reusable float64 buffers, one cube-sized for the pixels and two
+band-sized for a band's signal and shot noise, with the IEEE operations of
+the allocating formula in its order, so reuse changes no bit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ from .cubeio import (
     write_dark_frame,
 )
 from .errors import IoFailure, MalformedHeader, SoilspecError
-from .features import BLOCK_SIDE, block_means, flatten_observations
+from .features import (
+    BLOCK_SIDE,
+    BLOCKS_PER_SPECIMEN,
+    block_means,
+    flatten_observations,
+)
 from .preprocess import NormalizationParams, preprocess_cube, thread_scratch
 from .seeding import derive_seed
 from .triangle import classify_composition, mixture_composition
@@ -240,7 +246,9 @@ def synthesize_cube(
     normals scaled by shot_scale * signal; fixed so a seed pins the cube.
     Per pixel, ``rint((signal + dark) + (shot_scale * signal) * shot)``
     clipped to 0..1023, evaluated in place in this thread's scratch buffers
-    with exactly those IEEE operations.
+    with exactly those IEEE operations. Only the pixels take a whole cube:
+    signal and shot noise are added one band at a time, and the shot
+    normals drawn band after band are those of one whole-cube draw.
     """
     rng = np.random.Generator(np.random.PCG64(specimen_seed))
     base = endmembers.mix(np.asarray(spec.weights))
@@ -249,19 +257,20 @@ def synthesize_cube(
     # surface patch whose packing shifts the whole spectrum together.
     block_noise = rng.normal(0.0, noise.block_texture_std, (grid, grid))
     block_pixels = np.kron(block_noise, np.ones((BLOCK_SIDE, BLOCK_SIDE)))
-    signal, pixels, shot = (
-        thread_scratch(name, _CUBE_SHAPE) for name in ("signal", "pixels", "shot")
-    )
-    np.add(base[:, np.newaxis, np.newaxis], block_pixels[np.newaxis, :, :], out=signal)
+    pixels = thread_scratch("pixels", _CUBE_SHAPE)
+    signal = thread_scratch("signal", _CUBE_SHAPE[1:])
+    shot = thread_scratch("shot", _CUBE_SHAPE[1:])
     # dark offsets: standard normals * std + mean, the same bits as rng.normal
     rng.standard_normal(out=pixels)
     pixels *= noise.dark_std
     pixels += noise.dark_mean
-    pixels += signal
-    rng.standard_normal(out=shot)
-    signal *= noise.shot_scale
-    shot *= signal
-    pixels += shot
+    for band, level in zip(pixels, base):
+        np.add(level, block_pixels, out=signal)
+        band += signal
+        rng.standard_normal(out=shot)
+        signal *= noise.shot_scale
+        shot *= signal
+        band += shot
     np.rint(pixels, out=pixels)
     np.clip(pixels, 0, MAX_INTENSITY, out=pixels)
     return SpectralCube(planes=pixels.astype(np.uint16))
@@ -450,28 +459,28 @@ def extract_tables(
     entries = load_manifest(manifest_path)
     dark = read_dark_frame(base_dir / "dark.msc")
 
-    def process(entry: ManifestEntry):
+    members = {role: [e for e in entries if e.role == role] for role in _ROLE_INDEX}
+    blocks = {
+        role: np.empty((len(group), BLOCKS_PER_SPECIMEN, N_BANDS))
+        for role, group in members.items()
+    }
+    # a cube's block means go to its place among its role's manifest rows
+    row = {e.specimen_id: i for group in members.values() for i, e in enumerate(group)}
+
+    def process(entry: ManifestEntry) -> None:
         try:
             cube = read_cube(base_dir / entry.cube_path)
             processed = preprocess_cube(cube, dark, roi, params)
         except SoilspecError as exc:
             raise type(exc)(f"specimen {entry.specimen_id}: {exc}") from exc
-        return (
-            block_means(processed),
-            entry.composition,
-            entry.texture,
-            entry.specimen_id,
-        )
+        blocks[entry.role][row[entry.specimen_id]] = block_means(processed)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(process, entries))
+        list(pool.map(process, entries))
 
-    tables = {}
-    for role in ("train", "validation"):
-        rows = [
-            result
-            for result, entry in zip(results, entries)
-            if entry.role == role
-        ]
-        tables[role] = flatten_observations(rows)
-    return tables
+    return {
+        role: flatten_observations(
+            blocks[role], [(e.composition, e.texture, e.specimen_id) for e in group]
+        )
+        for role, group in members.items()
+    }

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import soilspec
+from soilspec import pipeline
 from soilspec.cli import main
 from soilspec.core import BAND_WAVELENGTHS_NM
 from soilspec.cubeio import read_observation_csv
@@ -599,6 +600,62 @@ class TestEndToEnd:
         )
         assert code == 1
         assert "fold 3 has 1 test row(s); strategies 2 and 3 need at least 2" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("seed, fold", [(0, 1), (1, 3), (2, None), (3, 1)])
+    def test_one_composition_test_fold_names_the_fold(self, tiny_run, tmp_path, capsys,
+                                                       monkeypatch, seed, fold):
+        # 5 blocks each of two specimens of different mixtures: a test fold of
+        # 2 rows from one specimen has one value of every component
+        base, data, features = tiny_run
+        rows = (features / "train.csv").read_bytes().splitlines(keepends=True)
+        assert rows[1].startswith(b"train-01-01,")
+        assert rows[201].startswith(b"train-02-01,")
+        (tmp_path / "train.csv").write_bytes(b"".join(rows[:6] + rows[201:206]))
+        fits = []
+        if fold is not None:
+            monkeypatch.setattr(pipeline, "fit_fold",
+                                lambda *args, **kwargs: fits.append(args))
+        out = tmp_path / "results"
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out", str(out),
+             "--models", "knn", "--strategies", "2", "--seed", str(seed)],
+            capsys,
+        )
+        if fold is None:
+            assert code == 0, err
+            return
+        assert code == 1
+        assert (f"fold {fold}: every test row has the same clay, silt, sand; "
+                "strategies 2 and 3 need two values of each component per fold") in err
+        assert fits == []
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(slice(1, 2), "1 row(s); R^2 needs at least 2"),
+         (slice(1, 101), "every row has the same clay, silt, sand")],
+        ids=["one-row", "one-specimen"],
+    )
+    def test_unscorable_validation_csv_fails_before_the_fit(
+        self, tiny_run, tmp_path, capsys, monkeypatch, rows, message
+    ):
+        base, data, features = tiny_run
+        (tmp_path / "train.csv").write_bytes((features / "train.csv").read_bytes())
+        lines = (features / "validation.csv").read_bytes().splitlines(keepends=True)
+        (tmp_path / "validation.csv").write_bytes(b"".join([lines[0], *lines[rows]]))
+        fits = []
+        monkeypatch.setattr(pipeline, "fit_fold",
+                            lambda *args, **kwargs: fits.append(args))
+        out = tmp_path / "results"
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out", str(out),
+             "--models", "knn", "--strategies", "1", "--external-validation"],
+            capsys,
+        )
+        assert code == 1
+        assert f"{tmp_path / 'validation.csv'}: {message}" in err
+        assert fits == []
         assert list(out.iterdir()) == []
 
     def test_header_only_train_csv_names_the_file(self, tiny_run, tmp_path, capsys):

@@ -68,13 +68,14 @@ class TestBlockMeans:
 
 
 class TestFlattenObservations:
-    def _specimen(self, specimen_id, value=1.0):
-        matrix = np.full((100, N_BANDS), value)
-        comp = validate_composition(20.0, 30.0, 50.0)
-        return (matrix, comp, TextureClass.LOAM, specimen_id)
+    def _specimen(self, specimen_id):
+        return (validate_composition(20.0, 30.0, 50.0), TextureClass.LOAM, specimen_id)
+
+    def _blocks(self, count, value=1.0):
+        return np.full((count, 100, N_BANDS), value)
 
     def test_one_specimen_hundred_rows(self):
-        table = flatten_observations([self._specimen("a")])
+        table = flatten_observations(self._blocks(1), [self._specimen("a")])
         assert len(table) == 100
         assert set(zip(table.block_rows, table.block_cols)) == {
             (u, v) for u in range(1, 11) for v in range(1, 11)
@@ -82,10 +83,12 @@ class TestFlattenObservations:
 
     def test_many_specimens_scale(self):
         table = flatten_observations(
-            [self._specimen(f"s{i}") for i in range(440)]
+            self._blocks(440), [self._specimen(f"s{i}") for i in range(440)]
         )
         assert len(table) == 44_000
-        table = flatten_observations([self._specimen(f"v{i}") for i in range(84)])
+        table = flatten_observations(
+            self._blocks(84), [self._specimen(f"v{i}") for i in range(84)]
+        )
         assert len(table) == 8_400
 
     def test_matches_a_per_specimen_loop(self):
@@ -98,7 +101,9 @@ class TestFlattenObservations:
                 ((5.0, 5.0, 90.0), TextureClass.SAND, "c"),
             ]
         ]
-        table = flatten_observations(iter(specimens))
+        table = flatten_observations(
+            np.array([s[0] for s in specimens]), iter(s[1:] for s in specimens)
+        )
         u, v = np.divmod(np.arange(100), 10)
         for i, (matrix, comp, texture, sid) in enumerate(specimens):
             rows = slice(100 * i, 100 * (i + 1))
@@ -112,11 +117,13 @@ class TestFlattenObservations:
 
     def test_ids_kept_as_given(self):
         # a "U" array would drop the trailing NUL and merge the two specimens
-        table = flatten_observations([self._specimen("a"), self._specimen("a\x00")])
+        table = flatten_observations(
+            self._blocks(2), [self._specimen("a"), self._specimen("a\x00")]
+        )
         assert table.specimen_ids.tolist() == ["a"] * 100 + ["a\x00"] * 100
 
     def test_no_specimens_give_an_empty_table(self):
-        table = flatten_observations([])
+        table = flatten_observations(self._blocks(0), [])
         assert len(table) == 0
         assert table.features.shape == (0, N_BANDS)
         assert table.compositions.shape == (0, 3)
@@ -124,11 +131,25 @@ class TestFlattenObservations:
     def test_row_block_correspondence(self):
         matrix = np.arange(100 * N_BANDS, dtype=float).reshape(100, N_BANDS)
         table = flatten_observations(
-            [(matrix, validate_composition(20, 30, 50), TextureClass.LOAM, "x")]
+            matrix[np.newaxis],
+            [(validate_composition(20, 30, 50), TextureClass.LOAM, "x")],
         )
         k = 37  # block (4, 8) -> row (4-1)*10 + (8-1)
         assert table.block_rows[k] == 4 and table.block_cols[k] == 8
         assert np.array_equal(table.features[k], matrix[k])
+
+    def test_features_are_a_view_of_the_blocks(self):
+        blocks = np.random.default_rng(5).random((3, 100, N_BANDS))
+        specimens = [self._specimen(f"s{i}") for i in range(3)]
+        table = flatten_observations(blocks, specimens)
+        assert np.shares_memory(table.features, blocks)
+        assert np.array_equal(table.features, blocks.reshape(300, N_BANDS))
+
+    @pytest.mark.parametrize("shape", [(2, 100, N_BANDS), (3, N_BANDS, 100), (3, 100)])
+    def test_blocks_must_match_the_specimens(self, shape):
+        with pytest.raises(DimensionMismatch, match="blocks of 3 specimens"):
+            flatten_observations(np.zeros(shape),
+                                 [self._specimen(f"s{i}") for i in range(3)])
 
 
 class TestMinMaxScaler:

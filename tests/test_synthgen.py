@@ -5,9 +5,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from soilspec.core import MAX_INTENSITY, N_BANDS, SpectralCube, validate_composition
+from soilspec.core import (
+    MAX_INTENSITY,
+    N_BANDS,
+    ObservationTable,
+    SpectralCube,
+    validate_composition,
+)
+from soilspec.cubeio import read_cube, read_dark_frame
 from soilspec.errors import MalformedHeader, TruncatedPayload
-from soilspec import synthgen
+from soilspec import preprocess, synthgen
+from soilspec.features import block_means
 from soilspec.preprocess import preprocess_cube
 from soilspec.seeding import derive_seed
 from soilspec.synthgen import (
@@ -221,6 +229,17 @@ class TestScratchSynthesis:
             expected = reference_planes(spec, DEFAULT_ENDMEMBERS, noise, seed)
             assert np.array_equal(cube.planes, expected)
 
+    def test_scratch_holds_one_cube_and_two_bands(self):
+        # only the pixels need a whole cube; signal and shot noise are added
+        # one band at a time
+        def render():
+            synthesize_cube(self.SPECS[0], DEFAULT_ENDMEMBERS, noise_preset("bench"), 3)
+            return sorted(buffer.shape for buffer in vars(preprocess._SCRATCH).values())
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            shapes = pool.submit(render).result(timeout=60)
+        assert shapes == [(120 * 120,), (120 * 120,), (N_BANDS * 120 * 120,)]
+
 
 class TestSynthesizeCube:
     def test_zero_noise_pure_sand_constant_planes(self):
@@ -349,6 +368,34 @@ class TestLoadManifest:
             load_manifest(path)
 
 
+def restacked_tables(manifest_path):
+    """Each role's table built the plain way: its cubes' block-mean matrices
+    collected in a list in manifest order, then stacked."""
+    entries = load_manifest(manifest_path)
+    dark = read_dark_frame(manifest_path.parent / "dark.msc")
+    grid = np.arange(1, 11)
+    tables = {}
+    for role in ("train", "validation"):
+        group = [e for e in entries if e.role == role]
+        matrices = [
+            block_means(preprocess_cube(read_cube(manifest_path.parent / e.cube_path),
+                                        dark, DEFAULT_ROI))
+            for e in group
+        ]
+        tables[role] = ObservationTable(
+            specimen_ids=np.repeat(np.array([e.specimen_id for e in group],
+                                            dtype=object), 100),
+            block_rows=np.tile(np.repeat(grid, 10), len(group)),
+            block_cols=np.tile(grid, 10 * len(group)),
+            features=np.array(matrices).reshape(-1, N_BANDS),
+            compositions=np.array([e.composition.as_array() for e in group
+                                   for _ in range(100)]).reshape(-1, 3),
+            texture_codes=np.array([e.texture.index for e in group
+                                    for _ in range(100)]),
+        )
+    return tables
+
+
 class TestExtractTables:
     def test_row_counts_per_role(self, tmp_path):
         noise = noise_preset("bench", seed=6)
@@ -407,6 +454,34 @@ class TestExtractTables:
                 assert got.compositions.tobytes() == expected.compositions.tobytes()
                 assert np.array_equal(got.texture_codes, expected.texture_codes)
                 assert list(got.specimen_ids) == list(expected.specimen_ids)
+
+    def test_tables_match_a_restacking_reference(self, tmp_path):
+        # workers write block means into per-role arrays; stacking each
+        # role's matrices in manifest order, as a list, must give the same
+        # table, also when train and validation rows interleave
+        manifest = generate_dataset(
+            default_benchmark(1, 1), DEFAULT_ENDMEMBERS, noise_preset("bench", seed=3),
+            tmp_path / "data",
+        )
+        header, *lines = manifest.read_text().splitlines()
+        train = [line for line in lines if ",train," in line]
+        validation = [line for line in lines if ",validation," in line]
+        mixed = [line for pair in zip(train, validation) for line in pair]
+        mixed += train[len(validation):]
+        interleaved = manifest.with_name("interleaved.csv")
+        interleaved.write_text("\n".join([header, *mixed]) + "\n")
+        for path in (manifest, interleaved):
+            expected = restacked_tables(path)
+            for threads in (1, 2):
+                tables = extract_tables(path, threads=threads)
+                for role in ("train", "validation"):
+                    got, want = tables[role], expected[role]
+                    assert got.specimen_ids.tolist() == want.specimen_ids.tolist()
+                    for column in ("block_rows", "block_cols", "features",
+                                   "compositions", "texture_codes"):
+                        assert getattr(got, column).dtype == getattr(want, column).dtype
+                        assert (getattr(got, column).tobytes()
+                                == getattr(want, column).tobytes()), (role, column)
 
     def test_block_noise_visible_in_features(self, tmp_path):
         # block texture must survive preprocessing into feature variance
