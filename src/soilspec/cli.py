@@ -19,7 +19,7 @@ from pathlib import Path
 from . import pipeline, synthgen
 from .core import Roi, validate_composition
 from .cubeio import read_observation_csv, write_observation_csv
-from .errors import SoilspecError, UnscorableTable
+from .errors import DegenerateBand, SoilspecError, UnscorableTable
 from .features import MinMaxScaler, emit_signatures
 from .pipeline import ModelSpec
 from .preprocess import NormalizationParams
@@ -180,7 +180,10 @@ def cmd_evaluate(args) -> int:
 def cmd_signatures(args) -> int:
     table = read_observation_csv(args.features)
     # Signatures are defined over the column-wise min-max normalized table.
-    scaler = MinMaxScaler().fit(table.features)
+    try:
+        scaler = MinMaxScaler().fit(table.features)
+    except DegenerateBand as exc:
+        raise DegenerateBand(f"{args.features}: {exc}") from None
     table = replace(table, features=scaler.transform(table.features))
     args.out.mkdir(parents=True, exist_ok=True)
     groupings = ("class", "composition") if args.group_by == "both" else (args.group_by,)

@@ -107,7 +107,7 @@ def validate_composition(clay: float, silt: float, sand: float) -> Composition:
             raise NegativeComponent(f"{name} component {value!r} outside [0, 100]")
     total = clay + silt + sand
     if abs(total - 100.0) > COMPOSITION_TOL:
-        raise SumViolation(f"components sum to {total!r}, expected 100")
+        raise SumViolation(f"({clay}, {silt}, {sand}) sums to {total!r}, expected 100")
     return Composition(float(clay), float(silt), float(sand))
 
 

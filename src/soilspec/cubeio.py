@@ -250,7 +250,7 @@ _ROW = np.dtype([
 
 
 def _parse_plain(text: str):
-    """The table's columns from one ``np.loadtxt`` pass, or None.
+    """The table's columns from ``np.loadtxt`` over the split lines, or None.
 
     Only ASCII text without a quote character, a lone CR or a blank line is
     parsed here: there csv's records are the lines and its fields the pieces
@@ -260,21 +260,19 @@ def _parse_plain(text: str):
     those stay out.) Anything else returns None, so the per-line parse reads
     it or names the bad line.
     """
-    header, _, body = text.partition("\n")
-    if (not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f')
-            or text.count("\r") != text.count("\r\n")
-            or header.removesuffix("\r") != ",".join(OBSERVATION_HEADER)):
-        return None
-    lines = body.split("\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     # np.loadtxt would skip a blank line, which csv reads as a row
-    if (not lines or "" in lines or "\r" in lines
+    if (not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f')
+            or text.count("\r") != text.count("\r\n") or len(lines) < 2
+            or lines[0].removesuffix("\r") != ",".join(OBSERVATION_HEADER)
+            or "" in lines or "\r" in lines
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
     try:
-        table = np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",",
-                           comments=None, ndmin=1)
+        table = np.loadtxt(lines, dtype=_ROW, delimiter=",", comments=None,
+                           ndmin=1, skiprows=1)
     except ValueError:
         return None
     codes = np.array([TEXTURE_CODES.get(name, -1) for name in table["texture"]],

@@ -79,6 +79,11 @@ def classification_metrics(
     )
 
 
+def constant_columns(truth: np.ndarray) -> list[int]:
+    """The columns of an (n, d) truth with one value in every row: no R^2."""
+    return [j for j, column in enumerate(truth.T) if column.min() == column.max()]
+
+
 def regression_metrics(truth: np.ndarray, predicted: np.ndarray) -> RegressionReport:
     """Per-component R^2 and RMSE for (n, 3) composition arrays."""
     truth = np.asarray(truth, dtype=np.float64)
@@ -95,9 +100,10 @@ def regression_metrics(truth: np.ndarray, predicted: np.ndarray) -> RegressionRe
         raise LengthMismatch(f"R^2 needs at least 2 rows, got {truth.shape[0]}")
     residual = ((truth - predicted) ** 2).sum(axis=0)
     spread = ((truth - truth.mean(axis=0)) ** 2).sum(axis=0)
-    flat = np.flatnonzero(spread == 0.0)
-    if flat.size:
-        raise ConstantTruth(f"truth component(s) {flat.tolist()} are constant")
+    # a spread of distinct values can underflow to 0, as for 0 and 1e-170
+    flat = constant_columns(truth) or np.flatnonzero(spread == 0.0).tolist()
+    if flat:
+        raise ConstantTruth(f"truth component(s) {flat} are constant")
     r2 = 1.0 - residual / spread
     rmse = np.sqrt(((truth - predicted) ** 2).mean(axis=0))
     return RegressionReport(r2=tuple(map(float, r2)), rmse=tuple(map(float, rmse)))

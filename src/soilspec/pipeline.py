@@ -31,6 +31,7 @@ from .ml.metrics import (
     ClassificationReport,
     RegressionReport,
     classification_metrics,
+    constant_columns,
     regression_metrics,
 )
 from .ml.smote import smote
@@ -50,16 +51,6 @@ STRATEGY_IDS = (1, 2, 3)
 # Sub-seed tags for per-fold derived randomness.
 _SEED_SMOTE = 1
 _SEED_MODEL = 2
-
-
-def _constant_components(compositions: np.ndarray) -> str:
-    """The components with one value in all rows, e.g. "clay, sand"; R^2 is
-    undefined for them."""
-    return ", ".join(
-        name
-        for name, column in zip(COMPONENTS, compositions.T)
-        if column.min() == column.max()
-    )
 
 
 def _family(strategy: int) -> int:
@@ -399,7 +390,7 @@ def run_strategies(
                     f"fold {fold} has {len(truth)} test row(s); strategies 2 and 3 "
                     "need at least 2 per fold"
                 )
-            constant = _constant_components(truth)
+            constant = ", ".join(COMPONENTS[j] for j in constant_columns(truth))
             if constant:
                 raise FoldPlanError(
                     f"fold {fold}: every test row has the same {constant}; "
@@ -443,10 +434,10 @@ def run_external_validation(
     if shared:
         raise SpecimenOverlap(f"specimen ids in both tables: {sorted(shared)[:5]}")
     if len(validation_table) < 2:
-        raise UnscorableTable(
-            f"{len(validation_table)} row(s); R^2 needs at least 2"
-        )
-    constant = _constant_components(validation_table.compositions)
+        raise UnscorableTable(f"{len(validation_table)} row(s); R^2 needs at least 2")
+    constant = ", ".join(
+        COMPONENTS[j] for j in constant_columns(validation_table.compositions)
+    )
     if constant:
         raise UnscorableTable(
             f"every row has the same {constant}; R^2 needs two values of each "

@@ -1,11 +1,11 @@
 """One contract for the command line, checked as a hypothesis property.
 
-`generate`, `extract` and `evaluate` run in process on a small seed-3 tree.
-Each draw gives every flag a valid or boundary value, except for at most one
-flag, which gets a junk value. Whatever the draw, the exit code is 0, 1 or
-2, nothing escapes `main` as an exception (so no traceback and no warning
-reaches stderr), and an exit-1 message names a path or a flag given on the
-command line.
+All five commands run in process on a small seed-3 tree. Each draw gives
+every flag a valid or boundary value, except for at most one flag, which
+gets a junk value. Whatever the draw, the exit code is 0, 1 or 2, nothing
+escapes `main` as an exception (so no traceback and no warning reaches
+stderr), and an exit-1 message names a path or a flag given on the command
+line (for `triangle`, the triple it was given or a flag it lacks will do).
 """
 
 import io
@@ -44,8 +44,18 @@ EXTRACT_FLAGS = {
                 ["0", "-1", "nan", "inf", "x"]),
     "--threads": ([None, *THREADS[0]], THREADS[1]),
 }
+# train.csv with one byte replaced or inserted in the first feature cell of a
+# line, or with a blank line inserted there; reading it must name that line
+DAMAGES = {
+    "features-x": (5, lambda cell: cell[:-1] + b"x"),  # its last digit
+    "features-nul": (6, lambda cell: cell[:1] + b"\x00" + cell[1:]),
+    "features-quote": (7, lambda cell: cell[:1] + b'"' + cell[1:]),
+    "features-cr": (8, lambda cell: cell[:1] + b"\r" + cell[1:]),
+    "features-blank": (9, None),
+}
 EVALUATE_FLAGS = {
-    "--features": (["features"], ["data", "missing", "file", "features-cut"]),
+    "--features": (["features"],
+                   ["data", "missing", "file", "features-cut", *DAMAGES]),
     "--out": (["fresh"], ["file", "under-file"]),
     "--models": (["knn", "dt", "rf", "knn,dt"], ["knn,knn", "svm", "", ","]),
     "--strategies": (["1", "2", "3", "1,2,3", "3,1"], ["0", "4", "", "x"]),
@@ -59,6 +69,17 @@ EVALUATE_FLAGS = {
     "--threads": ([None, *THREADS[0]], THREADS[1]),
 }
 EVALUATE_SWITCHES = ("--stratify", "--external-validation")
+SIGNATURES_FLAGS = {
+    "--features": (["features/train.csv", "features/validation.csv"],
+                   ["features", "missing", "file", "data/manifest.csv", "one-row.csv",
+                    "features-cut/train.csv", *(f"{d}/train.csv" for d in DAMAGES)]),
+    "--out": (["fresh"], ["file", "under-file"]),
+    "--group-by": ([None, "class", "composition", "both"], ["classes", ""]),
+}
+PERCENT = ([None, "0", "20", "21.37", "40", "78.63", "100"],
+           ["-1", "101", "nan", "inf", "-inf", "1e308", "x", ""])
+TRIANGLE_FLAGS = {"--clay": PERCENT, "--silt": PERCENT, "--sand": PERCENT}
+TRIANGLE_SWITCHES = ("--normalize", "--dump-rules")
 PATH_FLAGS = {"--out", "--data", "--features", "--endmembers"}
 
 
@@ -91,6 +112,18 @@ def tree(tmp_path_factory):
     for name in ("train.csv", "validation.csv"):
         raw = (features / name).read_bytes()
         (base / "features-cut" / name).write_bytes(raw[: len(raw) // 2])
+    lines = (features / "train.csv").read_bytes().split(b"\r\n")
+    (base / "one-row.csv").write_bytes(b"\r\n".join(lines[:2] + [b""]))
+    for name, (line, damage) in DAMAGES.items():
+        damaged = list(lines)
+        if damage:
+            cells = damaged[line - 1].split(b",")
+            cells[3] = damage(cells[3])
+            damaged[line - 1] = b",".join(cells)
+        else:
+            damaged.insert(line - 1, b"")
+        (base / name).mkdir()
+        (base / name / "train.csv").write_bytes(b"\r\n".join(damaged))
     return base, itertools.count()
 
 
@@ -137,7 +170,8 @@ def run_cli(tree, command, values):
     return argv, code, err.getvalue()
 
 
-def check_contract(argv, code, err):
+def check_contract(argv, code, err, named=()):
+    """`named`: further texts an exit-1 message may name the input by."""
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code == 1:
@@ -147,7 +181,7 @@ def check_contract(argv, code, err):
         flag_named = names and re.search(
             rf"(?<![\w-])(--)?({'|'.join(names)})(?![\w-])", err, re.IGNORECASE
         )
-        assert any(path in err for path in paths) or flag_named, (argv, err)
+        assert any(text in err for text in [*paths, *named]) or flag_named, (argv, err)
 
 
 @settings(max_examples=10, deadline=None)
@@ -166,3 +200,33 @@ def test_extract_keeps_the_contract(tree, values):
 @given(values=argv_values(EVALUATE_FLAGS, EVALUATE_SWITCHES))
 def test_evaluate_keeps_the_contract(tree, values):
     check_contract(*run_cli(tree, "evaluate", values))
+
+
+@settings(max_examples=10, deadline=None)
+@given(values=argv_values(SIGNATURES_FLAGS))
+def test_signatures_keeps_the_contract(tree, values):
+    check_contract(*run_cli(tree, "signatures", values))
+
+
+@settings(max_examples=10, deadline=None)
+@given(values=argv_values(TRIANGLE_FLAGS, TRIANGLE_SWITCHES))
+def test_triangle_keeps_the_contract(tree, values):
+    named = list(TRIANGLE_FLAGS)  # "provide --clay, --silt and --sand"
+    try:
+        named.append(str(tuple(float(values[flag]) for flag in TRIANGLE_FLAGS)))
+    except (TypeError, ValueError):  # a flag left out, or not a number
+        pass
+    check_contract(*run_cli(tree, "triangle", values), named=named)
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("command", ["evaluate", "signatures"])
+def test_damaged_train_csv_names_the_file_and_line(tree, command, damage):
+    features = f"{damage}/train.csv" if command == "signatures" else damage
+    values = {"--features": features, "--out": "fresh"}
+    if command == "evaluate":
+        values |= {"--models": "knn", "--strategies": "1"}
+    argv, code, err = run_cli(tree, command, values)
+    path, line = tree[0] / damage / "train.csv", DAMAGES[damage][0]
+    assert code == 1, (argv, err)
+    assert err.startswith(f"soilspec {command}: {path}: line {line}"), err

@@ -1,5 +1,8 @@
 import csv
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soilspec
 from soilspec import cubeio, synthgen
 from soilspec.core import (
     BAND_WAVELENGTHS_NM,
@@ -570,6 +574,32 @@ class TestOnePassParse:
         path = self.edit(tmp_path, [(3, "f405", cell)])
         with pytest.raises(MalformedHeader, match=r"obs\.csv: line 3: could not"):
             read_observation_csv(path)
+
+    def test_read_stays_in_bounded_memory(self, tmp_path):
+        # reading 20,000 rows (5.4 MB) raises VmHWM by about 20 MB; a copy of
+        # the text's body and a UCS-4 StringIO of it, held as well, took 42 MB.
+        # VmHWM is the peak since exec; ru_maxrss would count the forking parent's.
+        path = tmp_path / "obs.csv"
+        write_observation_csv(make_table(n_specimens=200), path)
+        probe = (
+            "import sys; from soilspec.cubeio import read_observation_csv\n"
+            "def hwm():\n"
+            "    status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "    return int(status.split()[0])\n"
+            "before = hwm()\n"
+            "read_observation_csv(sys.argv[1])\n"
+            "print((hwm() - before) // 1024)"
+        )
+        src = str(Path(soilspec.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", probe, str(path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 30  # MB
 
 
 _ID_TEXT = st.text(alphabet=st.sampled_from(list('ab, "\n\r\x00\t\u2028')), max_size=6)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -954,6 +955,22 @@ class TestRegressionMetrics:
     def test_constant_truth(self):
         with pytest.raises(ConstantTruth):
             regression_metrics(np.array([5.0, 5.0]), np.array([5.0, 6.0]))
+
+    def test_constant_truth_whose_mean_is_off_the_value(self):
+        # the mean of three 0.1s is 0.10000000000000002, so the spread about
+        # the mean is about 6e-34, not 0; R^2 of the third column read -5.19e29
+        truth = np.full((3, 3), 0.1)
+        predicted = truth.copy()
+        predicted[:, 2] += 0.01
+        with pytest.raises(ConstantTruth, match=r"\[0, 1, 2\] are constant"):
+            regression_metrics(truth, predicted)
+
+    def test_truth_spread_that_underflows_is_constant(self):
+        # 0 and 1e-170 differ, but their squared deviations from the mean are 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstantTruth, match=r"\[0\] are constant"):
+                regression_metrics(np.array([0.0, 1e-170]), np.zeros(2))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
