@@ -38,6 +38,7 @@ from .errors import (
     MalformedHeader,
     NegativeComponent,
     NumericalFailure,
+    SoilspecError,
     SumViolation,
     TruncatedPayload,
 )
@@ -207,20 +208,34 @@ def _read_text(path: Path) -> str:
 
 
 def read_csv_rows(
-    path: Path, header: list[str], what: str, text: str | None = None
-) -> list[list[str]]:
-    """The rows after `header`, which the file must start with; a row's
-    1-based line is its index + 2. Pass `text` when the file is already
-    read."""
+    path: Path, header: list[str], what: str, parse, text: str | None = None
+) -> list:
+    """``[parse(line, row), ...]`` for the rows after `header`, which the file
+    must start with. `row` holds one str per header column and `line` is its
+    1-based line, the row's index + 2; a row of another length fails as
+    MalformedHeader ("line {line} has {n} fields"). A ValueError or
+    OverflowError from `parse` fails as MalformedHeader, a SoilspecError as
+    its own type, prefixed "{path}: line {line}: ", so the first bad row in
+    file order is named. Pass `text` when the file is already read."""
     if text is None:
         text = _read_text(path)
     reader = csv.reader(io.StringIO(text, newline=""))
+    parsed = []
     try:
         if next(reader, None) != header:
             raise MalformedHeader(f"{path}: unexpected {what} header")
-        return list(reader)
+        for line, row in enumerate(reader, 2):
+            if len(row) != len(header):
+                raise MalformedHeader(f"{path}: line {line} has {len(row)} fields")
+            try:
+                parsed.append(parse(line, row))
+            except (ValueError, OverflowError) as exc:
+                raise MalformedHeader(f"{path}: line {line}: {exc}") from None
+            except SoilspecError as exc:
+                raise type(exc)(f"{path}: line {line}: {exc}") from None
     except csv.Error as exc:
         raise MalformedHeader(f"{path}: line {reader.line_num}: {exc}") from None
+    return parsed
 
 
 def write_csv_rows(path: str | Path, header: list[str], rows) -> None:
@@ -290,31 +305,28 @@ def _parse_plain(text: str):
     )
 
 
+def _parse_row(line: int, row: list[str]):
+    """(id, block_row, block_col, 16 floats as one array, texture code); the
+    blocks are int64 here so that one past int64 fails on its line."""
+    return (
+        row[0],
+        np.int64(int(row[1])),
+        np.int64(int(row[2])),
+        np.fromiter(map(float, row[3 : 6 + N_BANDS]), np.float64, N_BANDS + 3),
+        TextureClass.from_name(row[6 + N_BANDS]).index,
+    )
+
+
 def _parse_rows(path: Path, text: str):
     """The table's columns cell by cell, naming the first bad line."""
-    rows = read_csv_rows(path, OBSERVATION_HEADER, "observation", text)
+    rows = read_csv_rows(path, OBSERVATION_HEADER, "observation", _parse_row, text)
     if not rows:
         raise MalformedHeader(f"{path}: no observation rows after the header")
-    n = len(rows)
-    specimen_ids = np.empty(n, dtype=object)
-    block_rows = np.empty(n, dtype=np.int64)
-    block_cols = np.empty(n, dtype=np.int64)
-    features = np.empty((n, N_BANDS), dtype=np.float64)
-    compositions = np.empty((n, 3), dtype=np.float64)
-    texture_codes = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(rows):
-        if len(row) != len(OBSERVATION_HEADER):
-            raise MalformedHeader(f"{path}: line {i + 2} has {len(row)} fields")
-        specimen_ids[i] = row[0]
-        try:
-            block_rows[i] = int(row[1])
-            block_cols[i] = int(row[2])
-            features[i] = [float(v) for v in row[3 : 3 + N_BANDS]]
-            compositions[i] = [float(v) for v in row[3 + N_BANDS : 6 + N_BANDS]]
-            texture_codes[i] = TextureClass.from_name(row[6 + N_BANDS]).index
-        except (ValueError, OverflowError) as exc:
-            raise MalformedHeader(f"{path}: line {i + 2}: {exc}") from None
-    return specimen_ids, block_rows, block_cols, features, compositions, texture_codes
+    ids, block_rows, block_cols, values, codes = zip(*rows)
+    values = np.array(values)
+    return (np.array(ids, dtype=object), np.array(block_rows), np.array(block_cols),
+            values[:, :N_BANDS].copy(), values[:, N_BANDS:].copy(),
+            np.array(codes, dtype=np.int64))
 
 
 def read_observation_csv(path: str | Path) -> ObservationTable:

@@ -366,81 +366,64 @@ def generate_dataset(
 
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
-    """Read a manifest; a short row, an unknown role or texture, a non-numeric
-    or non-finite weight, a non-numeric or off-simplex composition, weights
-    that do not sum to 1 or do not mix to the row's composition, and a
-    texture other than the triangle's for that composition each name the
-    1-based line; a repeated specimen id also names the line it repeats."""
+    """Read a manifest; a non-numeric or non-finite weight, a non-numeric or
+    off-simplex composition, an unknown role or texture, weights that do not
+    sum to 1 or mix to the composition, a texture other than the triangle's
+    for it, or a repeated specimen id fails naming its line."""
     path = Path(path)
-    entries = []
     first_lines: dict[str, int] = {}
-    for line, row in enumerate(read_csv_rows(path, MANIFEST_HEADER, "manifest"), 2):
-        if len(row) != len(MANIFEST_HEADER):
-            raise MalformedHeader(f"{path}: line {line} has {len(row)} fields")
+
+    def parse(line: int, row: list[str]) -> ManifestEntry:
         first = first_lines.setdefault(row[0], line)
         if first != line:
+            raise MalformedHeader(f"specimen id {row[0]!r} repeats line {first}")
+        weights = (float(row[2]), float(row[3]), float(row[4]))
+        composition = validate_composition(float(row[5]), float(row[6]), float(row[7]))
+        texture = TextureClass.from_name(row[8])
+        if row[1] not in _ROLE_INDEX:
+            raise MalformedHeader(f"unknown role {row[1]!r}")
+        if not np.isfinite(weights).all():
+            raise MalformedHeader("non-finite weight")
+        mixed = mixture_composition(
+            np.asarray(weights), ENDMEMBER_COMPOSITIONS
+        ).as_array()
+        if np.abs(mixed - composition.as_array()).max() > COMPOSITION_TOL:
             raise MalformedHeader(
-                f"{path}: line {line}: specimen id {row[0]!r} repeats line {first}"
+                f"weights {list(weights)} mix to {mixed.tolist()}, "
+                f"not to the row's composition"
             )
-        try:
-            weights = (float(row[2]), float(row[3]), float(row[4]))
-            composition = validate_composition(
-                float(row[5]), float(row[6]), float(row[7])
+        expected = classify_composition(composition)
+        if texture is not expected:
+            raise MalformedHeader(
+                f"texture {texture.value} differs from the triangle's "
+                f"{expected.value} for this composition"
             )
-            texture = TextureClass.from_name(row[8])
-            if row[1] not in _ROLE_INDEX:
-                raise MalformedHeader(f"unknown role {row[1]!r}")
-            if not np.isfinite(weights).all():
-                raise MalformedHeader("non-finite weight")
-            mixed = mixture_composition(
-                np.asarray(weights), ENDMEMBER_COMPOSITIONS
-            ).as_array()
-            if np.abs(mixed - composition.as_array()).max() > COMPOSITION_TOL:
-                raise MalformedHeader(
-                    f"weights {list(weights)} mix to {mixed.tolist()}, "
-                    f"not to the row's composition"
-                )
-            expected = classify_composition(composition)
-            if texture is not expected:
-                raise MalformedHeader(
-                    f"texture {texture.value} differs from the triangle's "
-                    f"{expected.value} for this composition"
-                )
-        except ValueError as exc:
-            raise MalformedHeader(f"{path}: line {line}: {exc}") from None
-        except SoilspecError as exc:
-            raise type(exc)(f"{path}: line {line}: {exc}") from None
-        entries.append(
-            ManifestEntry(row[0], row[1], weights, composition, texture, row[9])
-        )
-    return entries
+        return ManifestEntry(row[0], row[1], weights, composition, texture, row[9])
+
+    return read_csv_rows(path, MANIFEST_HEADER, "manifest", parse)
 
 
 def read_endmember_csv(path: str | Path) -> EndmemberLibrary:
-    """Load endmember spectra overrides: band_nm,clayrich,siltrich,sandrich.
-
-    A short row, a non-integer band, a non-numeric level or a level outside
-    (0, 1023) names the 1-based line."""
+    """Load endmember spectra overrides: band_nm,clayrich,siltrich,sandrich,
+    one row per band in wavelength order. A non-integer band, a non-numeric
+    level, a level outside (0, 1023) or a band out of order fails on its
+    row, and a file without 13 band rows fails naming the file."""
     path = Path(path)
-    rows = read_csv_rows(path, ["band_nm", *ENDMEMBER_NAMES], "endmember")
+    bands = iter(BAND_WAVELENGTHS_NM)
+
+    def parse(line: int, row: list[str]) -> np.ndarray:
+        band = int(row[0])
+        levels = np.array([float(row[1]), float(row[2]), float(row[3])])
+        EndmemberLibrary.check_levels(levels)
+        expected = next(bands, band)  # a row past the last band: counted below
+        if band != expected:
+            raise MalformedHeader(f"band {band} out of order (expected {expected})")
+        return levels
+
+    rows = read_csv_rows(path, ["band_nm", *ENDMEMBER_NAMES], "endmember", parse)
     if len(rows) != N_BANDS:
         raise MalformedHeader(f"{path}: expected {N_BANDS} band rows")
-    spectra = np.empty((3, N_BANDS))
-    for i, row in enumerate(rows):
-        if len(row) != 4:
-            raise MalformedHeader(f"{path}: line {i + 2} has {len(row)} fields")
-        try:
-            band = int(row[0])
-            spectra[:, i] = [float(row[1]), float(row[2]), float(row[3])]
-            EndmemberLibrary.check_levels(spectra[:, i])
-        except (ValueError, MalformedHeader) as exc:
-            raise MalformedHeader(f"{path}: line {i + 2}: {exc}") from None
-        if band != BAND_WAVELENGTHS_NM[i]:
-            raise MalformedHeader(
-                f"{path}: line {i + 2}: band {band} out of order (expected "
-                f"{BAND_WAVELENGTHS_NM[i]})"
-            )
-    return EndmemberLibrary(spectra=spectra)
+    return EndmemberLibrary(spectra=np.column_stack(rows))
 
 
 def extract_tables(

@@ -527,7 +527,37 @@ class TestObservationCsvDecoding:
         long_field = b'"' + b"y" * (csv.field_size_limit() + 1) + b'"'
         path.write_bytes(b"a,b\r\n1," + long_field + b"\r\n")
         with pytest.raises(MalformedHeader, match=r"rows\.csv: line 2: field larger"):
-            cubeio.read_csv_rows(path, ["a", "b"], "test")
+            cubeio.read_csv_rows(path, ["a", "b"], "test", lambda line, row: row)
+
+
+class TestFirstBadLine:
+    """A file with two defects is named at the earlier one."""
+
+    def test_manifest_cell_before_an_over_limit_field(self, tmp_path):
+        lines = valid_manifest().split(b"\r\n")
+        fields = lines[2].split(b",")
+        fields[2] = b"abc"
+        lines[2] = b",".join(fields)
+        lines[5] = lines[5] + b'"' + b"y" * (csv.field_size_limit() + 1) + b'"'
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(MalformedHeader,
+                           match=r"manifest\.csv: line 3: could not convert"):
+            synthgen.load_manifest(path)
+
+    def test_quoted_table_cell_before_an_over_limit_id(self, tmp_path):
+        table = make_table()
+        table.specimen_ids[0] = "s,0"  # quoted, so the per-line parse reads it
+        table.specimen_ids[4] = "y" * (csv.field_size_limit() + 1)
+        path = tmp_path / "obs.csv"
+        write_observation_csv(table, path)
+        lines = path.read_bytes().split(b"\r\n")
+        fields = lines[3].split(b",")
+        fields[OBSERVATION_HEADER.index("f405")] = b"x1.5"
+        lines[3] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(MalformedHeader, match=r"obs\.csv: line 4: could not"):
+            read_observation_csv(path)
 
 
 class TestOnePassParse:
@@ -575,12 +605,14 @@ class TestOnePassParse:
         with pytest.raises(MalformedHeader, match=r"obs\.csv: line 3: could not"):
             read_observation_csv(path)
 
-    def test_read_stays_in_bounded_memory(self, tmp_path):
-        # reading 20,000 rows (5.4 MB) raises VmHWM by about 20 MB; a copy of
-        # the text's body and a UCS-4 StringIO of it, held as well, took 42 MB.
-        # VmHWM is the peak since exec; ru_maxrss would count the forking parent's.
+    def vmhwm_rise(self, tmp_path, first_id):
+        """MB by which reading a 20,000-row table (5.4 MB) whose first id is
+        `first_id` raises a child's VmHWM: the peak since exec, where
+        ru_maxrss would count the forking parent's."""
+        table = make_table(n_specimens=200)
+        table.specimen_ids[0] = first_id
         path = tmp_path / "obs.csv"
-        write_observation_csv(make_table(n_specimens=200), path)
+        write_observation_csv(table, path)
         probe = (
             "import sys; from soilspec.cubeio import read_observation_csv\n"
             "def hwm():\n"
@@ -599,7 +631,17 @@ class TestOnePassParse:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert int(result.stdout) < 30  # MB
+        return int(result.stdout)
+
+    def test_read_stays_in_bounded_memory(self, tmp_path):
+        # about 20 MB; a copy of the text's body and a UCS-4 StringIO of it,
+        # held as well, took 42 MB
+        assert self.vmhwm_rise(tmp_path, "s0") < 30
+
+    def test_per_line_read_stays_in_bounded_memory(self, tmp_path):
+        # a quoted id takes the per-line parse: about 34 MB; its rows as lists
+        # of str cells, all held before any was converted, took 56 MB
+        assert self.vmhwm_rise(tmp_path, "s,0") < 45
 
 
 _ID_TEXT = st.text(alphabet=st.sampled_from(list('ab, "\n\r\x00\t\u2028')), max_size=6)

@@ -147,6 +147,21 @@ class TestEndmembers:
         with pytest.raises(MalformedHeader):
             read_endmember_csv(path)
 
+    @pytest.mark.parametrize("extra", [None, "999,1,2,3"], ids=["12-rows", "14-rows"])
+    def test_override_csv_needs_thirteen_rows(self, tmp_path, extra):
+        from soilspec.core import BAND_WAVELENGTHS_NM
+
+        rows = ["band_nm,clayrich,siltrich,sandrich"] + [
+            f"{nm},{','.join(map(str, DEFAULT_ENDMEMBERS.spectra[:, i]))}"
+            for i, nm in enumerate(BAND_WAVELENGTHS_NM)
+        ]
+        rows = rows[:-1] if extra is None else rows + [extra]
+        path = tmp_path / "endmembers.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(MalformedHeader,
+                           match=r"endmembers\.csv: expected 13 band rows"):
+            read_endmember_csv(path)
+
     def test_spectra_shape_validation(self):
         with pytest.raises(MalformedHeader):
             EndmemberLibrary(spectra=np.ones((3, 5)))
