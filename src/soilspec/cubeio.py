@@ -13,8 +13,10 @@ Writing is byte-deterministic: equal values produce equal files.
 from __future__ import annotations
 
 import csv
-import io
+import os
+import re
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -70,36 +72,36 @@ def _write(path: str | Path, wavelengths: tuple[int, ...], planes: np.ndarray) -
 
 
 def _unpack(path: Path) -> tuple[tuple[int, ...], np.ndarray]:
+    """The wavelength table and the planes, read into one buffer: the file's
+    size is checked against the header, then the payload is read straight
+    into the planes, so a file cut short meanwhile fails as well."""
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise MalformedHeader(f"{path}: file shorter than the fixed header")
+            magic, bands, width, height = _HEADER.unpack(head)
+            if magic != MAGIC:
+                raise MalformedHeader(f"{path}: bad magic {magic!r}")
+            table = fh.read(2 * bands)
+            if len(table) < 2 * bands:
+                raise MalformedHeader(f"{path}: wavelength table truncated")
+            expected = 2 * bands * height * width
+            got = size - fh.tell()
+            if got >= expected:
+                planes = np.empty((bands, height, width), dtype="<u2")
+                got = fh.readinto(planes)
+            if got < expected:
+                raise TruncatedPayload(
+                    f"{path}: payload has {got} bytes, expected {expected}"
+                )
+            trailing = len(fh.read())
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise MalformedHeader(f"{path}: file shorter than the fixed header")
-    magic, bands, width, height = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise MalformedHeader(f"{path}: bad magic {magic!r}")
-    offset = _HEADER.size
-    if len(raw) < offset + 2 * bands:
-        raise MalformedHeader(f"{path}: wavelength table truncated")
-    wavelengths = tuple(
-        int(v) for v in np.frombuffer(raw, dtype="<u2", count=bands, offset=offset)
-    )
-    offset += 2 * bands
-    expected = offset + 2 * bands * height * width
-    if len(raw) < expected:
-        raise TruncatedPayload(
-            f"{path}: payload has {len(raw) - offset} bytes, "
-            f"expected {expected - offset}"
-        )
-    if len(raw) > expected:
-        raise MalformedHeader(f"{path}: {len(raw) - expected} trailing bytes")
-    planes = (
-        np.frombuffer(raw, dtype="<u2", offset=offset)
-        .reshape(bands, height, width)
-        .astype(np.uint16)
-    )
-    return wavelengths, planes
+    if trailing:
+        raise MalformedHeader(f"{path}: {trailing} trailing bytes")
+    return struct.unpack(f"<{bands}H", table), planes
 
 
 def _in_range(path: Path, make, planes: np.ndarray):
@@ -207,24 +209,33 @@ def _read_text(path: Path) -> str:
         raise MalformedHeader(f"{path}: line {line}: not text: {exc}") from None
 
 
+# One line of text and its line end, for csv.reader one at a time rather
+# than a whole-text io.StringIO. csv ends a line at CR, LF or CRLF only;
+# str.splitlines would also end one at \x0b, \x0c, \x1c-\x1e, \x85, \u2028
+# or \u2029.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
+
+
 def read_csv_rows(
     path: Path, header: list[str], what: str, parse, text: str | None = None
 ) -> list:
     """``[parse(line, row), ...]`` for the rows after `header`, which the file
-    must start with. `row` holds one str per header column and `line` is its
-    1-based line, the row's index + 2; a row of another length fails as
-    MalformedHeader ("line {line} has {n} fields"). A ValueError or
-    OverflowError from `parse` fails as MalformedHeader, a SoilspecError as
-    its own type, prefixed "{path}: line {line}: ", so the first bad row in
-    file order is named. Pass `text` when the file is already read."""
+    must start with. `row` holds one str per header column and `line` is the
+    1-based physical line it starts on, one past the previous record's last
+    line; a row of another length fails as MalformedHeader ("line {line} has
+    {n} fields"). A ValueError or OverflowError from `parse` fails as
+    MalformedHeader, a SoilspecError as its own type, prefixed "{path}: line
+    {line}: ", so the first bad row in file order is named. Pass `text` when
+    the file is already read."""
     if text is None:
         text = _read_text(path)
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(match.group() for match in _LINE.finditer(text))
     parsed = []
     try:
         if next(reader, None) != header:
             raise MalformedHeader(f"{path}: unexpected {what} header")
-        for line, row in enumerate(reader, 2):
+        line = reader.line_num + 1
+        for row in reader:
             if len(row) != len(header):
                 raise MalformedHeader(f"{path}: line {line} has {len(row)} fields")
             try:
@@ -233,6 +244,7 @@ def read_csv_rows(
                 raise MalformedHeader(f"{path}: line {line}: {exc}") from None
             except SoilspecError as exc:
                 raise type(exc)(f"{path}: line {line}: {exc}") from None
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedHeader(f"{path}: line {reader.line_num}: {exc}") from None
     return parsed
@@ -249,9 +261,9 @@ def write_csv_rows(path: str | Path, header: list[str], rows) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _reject_first(path: Path, bad: np.ndarray, error: type, what: str) -> None:
-    if bad.any():  # the header is line 1
-        raise error(f"{path}: line {np.flatnonzero(bad)[0] + 2}: {what}")
+def _reject_first(path: Path, lines, bad: np.ndarray, error: type, what: str) -> None:
+    if bad.any():  # lines[i] is the line row i starts on
+        raise error(f"{path}: line {lines[np.flatnonzero(bad)[0]]}: {what}")
 
 
 # One observation row as np.loadtxt parses it.
@@ -306,27 +318,30 @@ def _parse_plain(text: str):
 
 
 def _parse_row(line: int, row: list[str]):
-    """(id, block_row, block_col, 16 floats as one array, texture code); the
-    blocks are int64 here so that one past int64 fails on its line."""
+    """(id, block_row, block_col, 16 floats as one array, texture code,
+    line); the blocks are int64 here so that one past int64 fails on its
+    line."""
     return (
         row[0],
         np.int64(int(row[1])),
         np.int64(int(row[2])),
         np.fromiter(map(float, row[3 : 6 + N_BANDS]), np.float64, N_BANDS + 3),
         TextureClass.from_name(row[6 + N_BANDS]).index,
+        line,
     )
 
 
 def _parse_rows(path: Path, text: str):
-    """The table's columns cell by cell, naming the first bad line."""
+    """The table's columns cell by cell, naming the first bad line, then the
+    line each row starts on."""
     rows = read_csv_rows(path, OBSERVATION_HEADER, "observation", _parse_row, text)
     if not rows:
         raise MalformedHeader(f"{path}: no observation rows after the header")
-    ids, block_rows, block_cols, values, codes = zip(*rows)
+    ids, block_rows, block_cols, values, codes, lines = zip(*rows)
     values = np.array(values)
     return (np.array(ids, dtype=object), np.array(block_rows), np.array(block_cols),
             values[:, :N_BANDS].copy(), values[:, N_BANDS:].copy(),
-            np.array(codes, dtype=np.int64))
+            np.array(codes, dtype=np.int64), np.array(lines))
 
 
 def read_observation_csv(path: str | Path) -> ObservationTable:
@@ -337,28 +352,34 @@ def read_observation_csv(path: str | Path) -> ObservationTable:
     table with no rows is rejected too."""
     path = Path(path)
     text = _read_text(path)
+    columns = _parse_plain(text)
+    if columns is None:
+        *columns, lines = _parse_rows(path, text)
+    else:  # one line a row, the header first
+        lines = range(2, len(columns[0]) + 2)
     (specimen_ids, block_rows, block_cols, features, compositions,
-     texture_codes) = _parse_plain(text) or _parse_rows(path, text)
+     texture_codes) = columns
+    reject_first = partial(_reject_first, path, lines)
     n = len(specimen_ids)
     finite = np.isfinite(np.column_stack([features, compositions])).all(axis=1)
-    _reject_first(path, ~finite, NumericalFailure, "non-finite feature or composition")
+    reject_first(~finite, NumericalFailure, "non-finite feature or composition")
     blocks = np.column_stack([block_rows, block_cols])
-    _reject_first(path, ((blocks < 1) | (blocks > BLOCK_GRID)).any(axis=1),
-                  MalformedHeader, f"block index outside 1..{BLOCK_GRID}")
-    _reject_first(path, ((compositions < 0.0) | (compositions > 100.0)).any(axis=1),
-                  NegativeComponent, "composition component outside [0, 100]")
+    reject_first(((blocks < 1) | (blocks > BLOCK_GRID)).any(axis=1),
+                 MalformedHeader, f"block index outside 1..{BLOCK_GRID}")
+    reject_first(((compositions < 0.0) | (compositions > 100.0)).any(axis=1),
+                 NegativeComponent, "composition component outside [0, 100]")
     clay, silt, sand = compositions.T
-    _reject_first(path, np.abs(clay + silt + sand - 100.0) > COMPOSITION_TOL,
-                  SumViolation, "composition does not sum to 100")
-    _reject_first(path, classify_percentages(clay, silt, sand) != texture_codes,
-                  MalformedHeader, "texture is not the triangle's for the composition")
+    reject_first(np.abs(clay + silt + sand - 100.0) > COMPOSITION_TOL,
+                 SumViolation, "composition does not sum to 100")
+    reject_first(classify_percentages(clay, silt, sand) != texture_codes,
+                 MalformedHeader, "texture is not the triangle's for the composition")
     # compared as Python strings: a "U" array would drop trailing NULs
     _, specimen = np.unique(specimen_ids, return_inverse=True)
     _, first = np.unique(np.column_stack([specimen, blocks]), axis=0, return_index=True)
     repeated = np.ones(n, dtype=bool)
     repeated[first] = False  # every row but the first of its (specimen, block)
-    _reject_first(path, repeated, MalformedHeader,
-                  "repeats an earlier (specimen, block_row, block_col)")
+    reject_first(repeated, MalformedHeader,
+                 "repeats an earlier (specimen, block_row, block_col)")
     return ObservationTable(
         specimen_ids=specimen_ids,
         block_rows=block_rows,

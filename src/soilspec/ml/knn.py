@@ -7,8 +7,6 @@ points resolve reproducibly; vote ties go to the smallest class index.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from ..errors import DimensionMismatch, EmptyTrainingSet, KTooLarge, NotFitted
@@ -64,6 +62,8 @@ class _KnnBase:
         """Hash of everything the fit depends on (leakage audits)."""
         if self.train_x is None or self.train_y is None:
             raise NotFitted("KNN params_digest before fit")
+        # hashlib loads OpenSSL's libcrypto (about 4 MB); only digests need it
+        import hashlib
         h = hashlib.sha256()
         h.update(str(self.k).encode())
         h.update(np.ascontiguousarray(self.train_x).tobytes())

@@ -26,8 +26,6 @@ generator after the fit. Other feature counts still call ``choice``.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from ..errors import DimensionMismatch, EmptyTrainingSet, NotFitted
@@ -264,6 +262,8 @@ class _DecisionTree:
         return self._tree
 
     def params_digest(self) -> str:
+        # hashlib loads OpenSSL's libcrypto (about 4 MB); only digests need it
+        import hashlib
         h = hashlib.sha256()
         self._fitted().digest_into(h)
         return h.hexdigest()
@@ -352,6 +352,7 @@ class _ForestBase:
         return self.trees
 
     def params_digest(self) -> str:
+        import hashlib
         h = hashlib.sha256()
         h.update(str(self.seed).encode())
         for tree in self._fitted_trees():

@@ -14,7 +14,6 @@ test split.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -173,6 +172,8 @@ class _PerComponentRegressor:
         return np.column_stack([model.predict(features) for model in self.models])
 
     def params_digest(self) -> str:
+        # hashlib loads OpenSSL's libcrypto (about 4 MB); only digests need it
+        import hashlib
         h = hashlib.sha256()
         for model in self.models:
             h.update(model.params_digest().encode())
@@ -203,6 +204,7 @@ def _make_regressor(spec: ModelSpec, seed: int):
 
 
 def _digest(*arrays) -> str:
+    import hashlib
     h = hashlib.sha256()
     for arr in arrays:
         arr = np.ascontiguousarray(arr)

@@ -8,12 +8,14 @@ float64 from the dark correction onward.
 :func:`preprocess_cube` crops the raw planes and the dark frame first and
 casts only the window to float64; the correction is per pixel, so this
 gives the bits of correcting first. It then works on the whole
-``(bands, pixels)`` array at once: axis-1 reductions give every band's
-mean and std, and one in-place pass maps every band with ``(bands, 1)``
-mean and std columns. :func:`roi_stats` and :func:`normalize_contrast` run
-the same two helpers on one band. Each reduction is numpy's pairwise sum
-over one band's pixels in row-major order, so the stats carry the bits of
-``plane.mean()`` and ``plane.std()`` on a contiguous plane.
+``(bands, pixels)`` array at once: an axis-1 reduction gives every band's
+mean, each band is centred in place, and squaring one band at a time into
+a band-sized buffer gives its std. One in-place pass then maps the centred
+bands with ``(bands, 1)`` mean and std columns, so a worker holds one
+cube-sized float64 array. :func:`roi_stats` and :func:`normalize_contrast`
+run the same two helpers on a copy of one band. Each reduction is numpy's
+pairwise sum over one band's pixels in row-major order, so the stats carry
+the bits of ``plane.mean()`` and ``plane.std()`` on a contiguous plane.
 """
 
 from __future__ import annotations
@@ -64,16 +66,18 @@ def thread_scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[:size].reshape(shape)
 
 
-def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Population mean and std of each row of a C-contiguous float64
-    ``(bands, pixels)`` array, with the IEEE operations of ``np.std``."""
+def _center_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract each row's mean from a C-contiguous float64 ``(bands,
+    pixels)`` array in place; return the population mean and std of each
+    row, with the IEEE operations of ``np.std``."""
     n = rows.shape[1]
     mean = np.add.reduce(rows, axis=1)
     mean /= n
-    deviation = thread_scratch("deviation", rows.shape)
-    np.subtract(rows, mean[:, np.newaxis], out=deviation)
-    np.square(deviation, out=deviation)
-    std = np.add.reduce(deviation, axis=1)
+    rows -= mean[:, np.newaxis]
+    square = thread_scratch("square", (n,))
+    std = np.empty_like(mean)
+    for band, row in enumerate(rows):
+        std[band] = np.add.reduce(np.square(row, out=square))
     std /= n
     return mean, np.sqrt(std, out=std)
 
@@ -82,10 +86,9 @@ def _normalize_rows(
     rows: np.ndarray, mean: np.ndarray, std: np.ndarray, params: NormalizationParams
 ) -> None:
     """The tanh map of :func:`normalize_contrast`, in place on every row of a
-    float64 ``(bands, pixels)`` array, row i with mean[i] and std[i]; a row
-    with std 0 becomes its mean."""
+    float64 ``(bands, pixels)`` array already centred by `mean`, row i with
+    mean[i] and std[i]; a row with std 0 becomes its mean."""
     mu, sigma = mean[:, np.newaxis], std[:, np.newaxis]
-    rows -= mu
     # A huge kappa overflows to +-inf, which tanh saturates to +-1 exactly.
     with np.errstate(over="ignore"):
         rows *= params.kappa
@@ -106,7 +109,8 @@ def roi_stats(plane: np.ndarray) -> BandStats:
     plane = np.asarray(plane, dtype=np.float64)
     if plane.size != ROI_PIXELS:
         raise DimensionMismatch(f"expected {ROI_PIXELS} pixels, got {plane.size}")
-    mean, std = _row_stats(np.ascontiguousarray(plane).reshape(1, ROI_PIXELS))
+    # centred in place, so a copy: the caller's plane stays as it was
+    mean, std = _center_rows(np.array(plane, order="C").reshape(1, ROI_PIXELS))
     return BandStats(mean=float(mean[0]), std=float(std[0]))
 
 
@@ -123,6 +127,7 @@ def normalize_contrast(
     """
     # C order makes the (1, pixels) reshape a view of `out` for any layout.
     out = np.array(plane, dtype=np.float64, order="C")
+    out -= stats.mean
     _normalize_rows(out.reshape(1, -1), np.array([stats.mean]), np.array([stats.std]),
                     params)
     return out
@@ -153,6 +158,6 @@ def preprocess_cube(
     out -= dark_plane[window].astype(np.float64)
     np.abs(out, out=out)
     rows = out.reshape(out.shape[0], -1)
-    mean, std = _row_stats(rows)
+    mean, std = _center_rows(rows)
     _normalize_rows(rows, mean, std, params)
     return out

@@ -50,6 +50,28 @@ def test_cli_import_leaves_out_the_kd_tree():
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_import_leaves_out_openssl():
+    # hashlib loads OpenSSL's libcrypto (about 4 MB of RSS), which extract,
+    # signatures and triangle never use; a digest imports it when taken
+    src = str(Path(soilspec.__file__).resolve().parents[1])
+    probe = (
+        "import sys, numpy as np, soilspec.cli\n"
+        "assert '_hashlib' not in sys.modules, 'OpenSSL loaded at import'\n"
+        "from soilspec.ml.knn import KnnClassifier\n"
+        "knn = KnnClassifier(k=1).fit(np.zeros((2, 1)), np.array([0, 1]))\n"
+        "print(knn.params_digest())"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.strip()) == 64
+
+
 # sha256 of every output of generate + extract at --seed 3 --replicates 1,1,
 # recorded before synthesis and preprocessing ran in place and the
 # observation CSVs were written in joined chunks; "cubes" hashes the cube

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,30 @@ class TestCubeContainer:
         path.write_bytes(raw[:-10])
         with pytest.raises(TruncatedPayload):
             read_cube(path)
+
+    def test_file_cut_short_after_sizing(self, tmp_path, monkeypatch):
+        # the size is taken before the payload is read; a file that is shorter
+        # by then still fails as a short payload
+        path = tmp_path / "shrunk.msc"
+        write_cube(make_cube(), path)
+        stat = os.stat(path)
+        path.write_bytes(path.read_bytes()[:-10])
+        monkeypatch.setattr(cubeio.os, "fstat", lambda fd: stat)
+        with pytest.raises(TruncatedPayload,
+                           match=r"shrunk\.msc: payload has 900 bytes, expected 910"):
+            read_cube(path)
+
+    def test_read_holds_one_copy_of_the_payload(self, tmp_path):
+        # a stock-size cube (13 x 120 x 120) is read straight into its planes
+        path = tmp_path / "stock.msc"
+        write_cube(make_cube(seed=3, height=120, width=120), path)
+        tracemalloc.start()
+        try:
+            read_cube(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "extra.msc"
@@ -560,6 +585,26 @@ class TestFirstBadLine:
             read_observation_csv(path)
 
 
+    @pytest.mark.parametrize("column, cell, line, error", [
+        ("f405", "x1.5", 6, MalformedHeader),
+        ("clay", "31", 7, SumViolation),
+    ])
+    def test_row_after_a_quoted_line_break_names_its_physical_line(
+        self, tmp_path, column, cell, line, error
+    ):
+        table = make_table()
+        table.specimen_ids[2] = "a\nb"  # one record on lines 4 and 5
+        path = tmp_path / "obs.csv"
+        write_observation_csv(table, path)
+        records = path.read_bytes().split(b"\r\n")
+        fields = records[line - 2].split(b",")
+        fields[OBSERVATION_HEADER.index(column)] = cell.encode()
+        records[line - 2] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(records))
+        with pytest.raises(error, match=rf"obs\.csv: line {line}: "):
+            read_observation_csv(path)
+
+
 class TestOnePassParse:
     @pytest.mark.parametrize("line_end", [b"\r\n", b"\n"], ids=["crlf", "lf"])
     def test_writer_output_takes_the_one_pass_parse(self, tmp_path, line_end):
@@ -637,6 +682,15 @@ class TestOnePassParse:
         # about 20 MB; a copy of the text's body and a UCS-4 StringIO of it,
         # held as well, took 42 MB
         assert self.vmhwm_rise(tmp_path, "s0") < 30
+
+    def test_quoted_ids_end_no_line_at_other_breaks(self, tmp_path):
+        # csv ends lines only at CR and LF, not where str.splitlines would
+        table = make_table()
+        table.specimen_ids = np.repeat(["a\x0c,b", "c\u2028,d"], 100).astype(object)
+        path = tmp_path / "obs.csv"
+        write_observation_csv(table, path)
+        loaded = read_observation_csv(path)
+        assert list(loaded.specimen_ids) == list(table.specimen_ids)
 
     def test_per_line_read_stays_in_bounded_memory(self, tmp_path):
         # a quoted id takes the per-line parse: about 34 MB; its rows as lists

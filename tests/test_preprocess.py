@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soilspec import preprocess
 from soilspec.core import N_BANDS, ROI_SIDE, DarkFrame, Roi, SpectralCube
 from soilspec.errors import DimensionMismatch, RoiOutOfBounds
 from soilspec.preprocess import (
@@ -312,6 +313,17 @@ class TestInPlacePreprocess:
             sys.setswitchinterval(interval)
         for out, reference in zip(got, expected * 4):
             assert np.array_equal(out.view(np.uint64), reference.view(np.uint64))
+
+    def test_scratch_holds_one_band(self):
+        # bands are centred in place and squared one at a time, so no
+        # cube-sized float64 buffer outlives the call
+        def run():
+            preprocess_cube(make_cube(seed=5), zero_dark(), Roi(10, 10))
+            return [buffer.size for buffer in vars(preprocess._SCRATCH).values()]
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            sizes = pool.submit(run).result(timeout=60)
+        assert sizes == [ROI_SIDE * ROI_SIDE]
 
     def test_fortran_ordered_cube_gives_the_same_bits(self):
         dark = DarkFrame(plane=np.zeros((120, 120), dtype=np.uint16))
