@@ -398,6 +398,16 @@ def run_strategies(
                     f"fold {fold}: every test row has the same {constant}; "
                     "strategies 2 and 3 need two values of each component per fold"
                 )
+    if 1 in strategies:  # SMOTE draws each synthetic row between two of a class
+        for fold in range(1, N_FOLDS + 1):
+            codes = table.texture_codes[plan.train_index(fold)]
+            lone = np.flatnonzero(np.bincount(codes) == 1)
+            if lone.size:
+                names = ", ".join(TextureClass.from_index(c).value for c in lone)
+                raise FoldPlanError(
+                    f"fold {fold}: the training split holds one row of {names}; "
+                    "strategy 1 needs none or at least 2 rows of each class per fold"
+                )
     results = {
         (s, spec.name): StrategyResult(strategy=s, model=spec.name)
         for s in strategies

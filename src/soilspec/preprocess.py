@@ -9,19 +9,17 @@ float64 from the dark correction onward.
 casts only the window to float64; the correction is per pixel, so this
 gives the bits of correcting first. It then works on the whole
 ``(bands, pixels)`` array at once: an axis-1 reduction gives every band's
-mean, each band is centred in place, and squaring one band at a time into
-a band-sized buffer gives its std. One in-place pass then maps the centred
-bands with ``(bands, 1)`` mean and std columns, so a worker holds one
-cube-sized float64 array. :func:`roi_stats` and :func:`normalize_contrast`
-run the same two helpers on a copy of one band. Each reduction is numpy's
-pairwise sum over one band's pixels in row-major order, so the stats carry
-the bits of ``plane.mean()`` and ``plane.std()`` on a contiguous plane.
+mean, each band is centred in place, and squaring one band at a time gives
+its std. One in-place pass then maps the centred bands with ``(bands, 1)``
+mean and std columns, so a call holds one cube-sized float64 array.
+:func:`roi_stats` and :func:`normalize_contrast` run the same two helpers
+on a copy of one band. Each reduction is numpy's pairwise sum over one
+band's pixels in row-major order, so the stats carry the bits of
+``plane.mean()`` and ``plane.std()`` on a contiguous plane.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,6 @@ from .core import ROI_SIDE, DarkFrame, Roi, SpectralCube
 from .errors import DimensionMismatch
 
 ROI_PIXELS = ROI_SIDE * ROI_SIDE
-_SCRATCH = threading.local()
 
 
 @dataclass(frozen=True)
@@ -48,22 +45,8 @@ class NormalizationParams:
     kappa: float = 0.03
 
     def __post_init__(self) -> None:
-        if not 0 < self.kappa < math.inf:
+        if not 0 < self.kappa < np.inf:
             raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
-
-
-def thread_scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """This thread's float64 buffer `name`, viewed as C-contiguous `shape`.
-
-    Every use overwrites it; reusing it spares each cube fresh pages for a
-    megabyte-sized temporary. Each name is its own buffer, grown on demand.
-    """
-    size = math.prod(shape)
-    buffer = getattr(_SCRATCH, name, None)
-    if buffer is None or buffer.size < size:
-        buffer = np.empty(size)
-        setattr(_SCRATCH, name, buffer)
-    return buffer[:size].reshape(shape)
 
 
 def _center_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,15 +54,10 @@ def _center_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pixels)`` array in place; return the population mean and std of each
     row, with the IEEE operations of ``np.std``."""
     n = rows.shape[1]
-    mean = np.add.reduce(rows, axis=1)
-    mean /= n
+    mean = np.add.reduce(rows, axis=1) / n
     rows -= mean[:, np.newaxis]
-    square = thread_scratch("square", (n,))
-    std = np.empty_like(mean)
-    for band, row in enumerate(rows):
-        std[band] = np.add.reduce(np.square(row, out=square))
-    std /= n
-    return mean, np.sqrt(std, out=std)
+    std = np.array([np.add.reduce(np.square(row)) for row in rows]) / n
+    return mean, np.sqrt(std)
 
 
 def _normalize_rows(

@@ -9,10 +9,7 @@ to reproduce real soil optics.
 
 All randomness derives from one master seed through an explicit index path
 (role, mixture, replicate), so generation is reproducible and specimens can
-be synthesized in any order. Each thread renders its cubes in place in its
-own reusable float64 buffers, one cube-sized for the pixels and two
-band-sized for a band's signal and shot noise, with the IEEE operations of
-the allocating formula in its order, so reuse changes no bit.
+be synthesized in any order.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from .features import (
     block_means,
     flatten_observations,
 )
-from .preprocess import NormalizationParams, preprocess_cube, thread_scratch
+from .preprocess import NormalizationParams, preprocess_cube
 from .seeding import derive_seed
 from .triangle import classify_composition, mixture_composition
 
@@ -245,10 +242,9 @@ def synthesize_cube(
     Draw order per band stack: block texture, dark offsets, then unit
     normals scaled by shot_scale * signal; fixed so a seed pins the cube.
     Per pixel, ``rint((signal + dark) + (shot_scale * signal) * shot)``
-    clipped to 0..1023, evaluated in place in this thread's scratch buffers
-    with exactly those IEEE operations. Only the pixels take a whole cube:
-    signal and shot noise are added one band at a time, and the shot
-    normals drawn band after band are those of one whole-cube draw.
+    clipped to 0..1023. Only the pixels take a whole cube: signal and shot
+    noise are added one band at a time, and the shot normals drawn band
+    after band are those of one whole-cube draw.
     """
     rng = np.random.Generator(np.random.PCG64(specimen_seed))
     base = endmembers.mix(np.asarray(spec.weights))
@@ -257,20 +253,11 @@ def synthesize_cube(
     # surface patch whose packing shifts the whole spectrum together.
     block_noise = rng.normal(0.0, noise.block_texture_std, (grid, grid))
     block_pixels = np.kron(block_noise, np.ones((BLOCK_SIDE, BLOCK_SIDE)))
-    pixels = thread_scratch("pixels", _CUBE_SHAPE)
-    signal = thread_scratch("signal", _CUBE_SHAPE[1:])
-    shot = thread_scratch("shot", _CUBE_SHAPE[1:])
-    # dark offsets: standard normals * std + mean, the same bits as rng.normal
-    rng.standard_normal(out=pixels)
-    pixels *= noise.dark_std
-    pixels += noise.dark_mean
+    pixels = rng.normal(noise.dark_mean, noise.dark_std, _CUBE_SHAPE)
     for band, level in zip(pixels, base):
-        np.add(level, block_pixels, out=signal)
+        signal = level + block_pixels
         band += signal
-        rng.standard_normal(out=shot)
-        signal *= noise.shot_scale
-        shot *= signal
-        band += shot
+        band += noise.shot_scale * signal * rng.standard_normal(signal.shape)
     np.rint(pixels, out=pixels)
     np.clip(pixels, 0, MAX_INTENSITY, out=pixels)
     return SpectralCube(planes=pixels.astype(np.uint16))

@@ -653,6 +653,53 @@ class TestEndToEnd:
         assert fits == []
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("seed, fold", [(0, 2), (1, 1), (2, None), (3, 2),
+                                            (4, 4), (5, 3)])
+    def test_lone_class_row_in_a_training_split_names_the_fold(
+        self, tiny_run, tmp_path, capsys, monkeypatch, seed, fold
+    ):
+        # the first 6 blocks of each first replicate, but only 2 of the one
+        # SiltyClay specimen: unless both land in one test fold, some
+        # training split holds a single SiltyClay row, which SMOTE cannot pair
+        base, data, features = tiny_run
+        lines = (features / "train.csv").read_bytes().splitlines(keepends=True)
+        kept = [lines[0]]
+        for start in range(1, len(lines), 100):
+            specimen = lines[start].split(b",")[0]
+            if specimen.endswith(b"-01"):
+                silty = lines[start].rstrip().endswith(b",SiltyClay")
+                kept += lines[start : start + (2 if silty else 6)]
+        assert len(kept) == 1 + 21 * 6 + 2
+        (tmp_path / "train.csv").write_bytes(b"".join(kept))
+        fits = []
+        if fold is not None:
+            monkeypatch.setattr(pipeline, "fit_fold",
+                                lambda *args, **kwargs: fits.append(args))
+        out = tmp_path / "results"
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out", str(out),
+             "--models", "knn", "--strategies", "1", "--seed", str(seed)],
+            capsys,
+        )
+        if fold is None:
+            assert code == 0, err
+            digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in out.glob("*.csv")}
+            assert digests == {
+                "aggregate.csv":
+                    "2a879f33e3586eea77517ef6908edf7bd800f87925d1dea4bf9ab69f9626f576",
+                "confusion_s1_knn.csv":
+                    "732fb905517fbdf0820db650bdf731c3b490e827aaf55cfd3722271800244534",
+                "results.csv":
+                    "c2c3f3350651d33f890d2b796e61505802c0023fc5a6f98e523cf2c9e09dbe2c",
+            }
+            return
+        assert code == 1
+        assert (f"fold {fold}: the training split holds one row of SiltyClay; "
+                "strategy 1 needs none or at least 2 rows of each class per fold") in err
+        assert fits == []
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "rows, message",
         [(slice(1, 2), "1 row(s); R^2 needs at least 2"),

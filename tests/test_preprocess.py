@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soilspec import preprocess
 from soilspec.core import N_BANDS, ROI_SIDE, DarkFrame, Roi, SpectralCube
 from soilspec.errors import DimensionMismatch, RoiOutOfBounds
 from soilspec.preprocess import (
@@ -314,16 +314,19 @@ class TestInPlacePreprocess:
         for out, reference in zip(got, expected * 4):
             assert np.array_equal(out.view(np.uint64), reference.view(np.uint64))
 
-    def test_scratch_holds_one_band(self):
-        # bands are centred in place and squared one at a time, so no
-        # cube-sized float64 buffer outlives the call
-        def run():
-            preprocess_cube(make_cube(seed=5), zero_dark(), Roi(10, 10))
-            return [buffer.size for buffer in vars(preprocess._SCRATCH).values()]
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            sizes = pool.submit(run).result(timeout=60)
-        assert sizes == [ROI_SIDE * ROI_SIDE]
+    def test_peak_holds_one_cube_of_float64(self):
+        # the output is the one cube-sized float64 array (0.99 MiB); bands
+        # are centred in place and squared one at a time, so a second
+        # cube-sized temporary would push the peak past the bound
+        cube, dark = make_cube(seed=5), zero_dark()
+        preprocess_cube(cube, dark, Roi(10, 10))  # a first call may import modules
+        tracemalloc.start()
+        try:
+            preprocess_cube(cube, dark, Roi(10, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_fortran_ordered_cube_gives_the_same_bits(self):
         dark = DarkFrame(plane=np.zeros((120, 120), dtype=np.uint16))
