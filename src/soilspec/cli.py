@@ -19,7 +19,7 @@ from pathlib import Path
 from . import pipeline, synthgen
 from .core import Roi, validate_composition
 from .cubeio import read_observation_csv, write_observation_csv
-from .errors import DegenerateBand, SoilspecError, UnscorableTable
+from .errors import DegenerateBand, SoilspecError
 from .features import MinMaxScaler, emit_signatures
 from .pipeline import ModelSpec
 from .preprocess import NormalizationParams
@@ -126,14 +126,10 @@ def cmd_extract(args) -> int:
     tables = synthgen.extract_tables(
         Path(args.data) / "manifest.csv", roi=roi, params=params, threads=args.threads
     )
-    written = []
-    for role, filename in (("train", "train.csv"), ("validation", "validation.csv")):
-        if len(tables[role]):
-            write_observation_csv(tables[role], args.out / filename)
-            written.append(filename)
+    for role in ("train", "validation"):
+        write_observation_csv(tables[role], args.out / f"{role}.csv")
     _write_run_config(args)
-    for filename in written:
-        print(args.out / filename)
+    print(args.out / "train.csv", args.out / "validation.csv", sep="\n")
     return 0
 
 
@@ -150,19 +146,18 @@ def cmd_evaluate(args) -> int:
         )
         for name in args.models
     ]
-    if args.external_validation:  # fail before the cross-validation runs
+    if args.external_validation:  # every check runs before the first fit
         validation_path = args.features / "validation.csv"
         validation = read_observation_csv(validation_path)
-        try:
-            reports = pipeline.run_external_validation(
-                table, validation, *specs, seed=args.seed
-            )
-        except UnscorableTable as exc:
-            raise UnscorableTable(f"{validation_path}: {exc}") from None
+        pipeline.check_external(table, validation, specs, str(validation_path))
     plan = pipeline.make_folds(
         table, seed=args.seed, granularity=args.granularity, stratify=args.stratify
     )
     results = pipeline.run_strategies(table, plan, args.strategies, specs)
+    if args.external_validation:
+        reports = pipeline.run_external_validation(
+            table, validation, *specs, seed=args.seed
+        )
     for (strategy, name), result in results.items():
         if result.pooled_confusion() is not None:
             pipeline.write_confusion_csv(

@@ -120,11 +120,6 @@ class SpecimenOverlap(SoilspecError):
 
 
 class FoldPlanError(SoilspecError):
-    """Too few units for N_FOLDS folds, a specimen of mixed texture, or a test
-    fold that R^2 cannot score: fewer than 2 rows or one value of a
-    component."""
-
-
-class UnscorableTable(SoilspecError):
-    """An external-validation table that R^2 cannot score: fewer than 2 rows
-    or one value of a component."""
+    """An evaluation plan that some fit or score would reject: too few units
+    for N_FOLDS folds, a specimen of mixed texture, a training split the fit
+    cannot use, or a test fold or validation table that R^2 cannot score."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionMismatch, EmptyTrainingSet, KTooLarge, NotFitted
+from ..seeding import sha256_hex
 from .neighbors import (
     as_labels,
     build_tree,
@@ -62,13 +63,8 @@ class _KnnBase:
         """Hash of everything the fit depends on (leakage audits)."""
         if self.train_x is None or self.train_y is None:
             raise NotFitted("KNN params_digest before fit")
-        # hashlib loads OpenSSL's libcrypto (about 4 MB); only digests need it
-        import hashlib
-        h = hashlib.sha256()
-        h.update(str(self.k).encode())
-        h.update(np.ascontiguousarray(self.train_x).tobytes())
-        h.update(np.ascontiguousarray(self.train_y, dtype=np.float64).tobytes())
-        return h.hexdigest()
+        targets = np.asarray(self.train_y, dtype=np.float64)
+        return sha256_hex(str(self.k).encode(), self.train_x, targets)
 
 
 class KnnClassifier(_KnnBase):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionMismatch, EmptyTrainingSet, NotFitted
-from ..seeding import make_rng
+from ..seeding import make_rng, sha256_hex
 from .neighbors import as_labels, check_finite, check_labels, check_lengths
 
 
@@ -58,12 +58,8 @@ class _Tree:
             active = active[self.feature[node[active]] >= 0]
         return self.payload[node]
 
-    def digest_into(self, h) -> None:
-        h.update(self.feature.tobytes())
-        h.update(self.threshold.tobytes())
-        h.update(self.left.tobytes())
-        h.update(self.right.tobytes())
-        h.update(np.ascontiguousarray(self.payload, dtype=np.float64).tobytes())
+    def digest_parts(self) -> tuple[np.ndarray, ...]:
+        return self.feature, self.threshold, self.left, self.right, self.payload
 
 
 def _single_draws(rng, d: int):
@@ -262,11 +258,7 @@ class _DecisionTree:
         return self._tree
 
     def params_digest(self) -> str:
-        # hashlib loads OpenSSL's libcrypto (about 4 MB); only digests need it
-        import hashlib
-        h = hashlib.sha256()
-        self._fitted().digest_into(h)
-        return h.hexdigest()
+        return sha256_hex(*self._fitted().digest_parts())
 
 
 class DecisionTreeClassifier(_DecisionTree):
@@ -352,12 +344,8 @@ class _ForestBase:
         return self.trees
 
     def params_digest(self) -> str:
-        import hashlib
-        h = hashlib.sha256()
-        h.update(str(self.seed).encode())
-        for tree in self._fitted_trees():
-            tree._tree.digest_into(h)
-        return h.hexdigest()
+        parts = [p for tree in self._fitted_trees() for p in tree._tree.digest_parts()]
+        return sha256_hex(str(self.seed).encode(), *parts)
 
 
 class RandomForestClassifier(_ForestBase):

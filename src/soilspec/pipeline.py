@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import N_CLASSES, ObservationTable, TextureClass
 from .cubeio import fmt_float, write_csv_rows
-from .errors import FoldPlanError, OffSimplex, SpecimenOverlap, UnscorableTable
+from .errors import FoldPlanError, OffSimplex, SpecimenOverlap
 from .features import MinMaxScaler, composition_group_labels
 from .lda import LdaModel, fit_lda, project, scatter
 from .ml.knn import KnnClassifier, KnnRegressor
@@ -40,7 +40,7 @@ from .ml.trees import (
     RandomForestClassifier,
     RandomForestRegressor,
 )
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed, make_rng, sha256_hex
 from .triangle import classify_percentages, normalize_predictions
 
 N_FOLDS = 5
@@ -172,12 +172,7 @@ class _PerComponentRegressor:
         return np.column_stack([model.predict(features) for model in self.models])
 
     def params_digest(self) -> str:
-        # hashlib loads OpenSSL's libcrypto (about 4 MB); only digests need it
-        import hashlib
-        h = hashlib.sha256()
-        for model in self.models:
-            h.update(model.params_digest().encode())
-        return h.hexdigest()
+        return sha256_hex(*(model.params_digest().encode() for model in self.models))
 
 
 def _make_regressor(spec: ModelSpec, seed: int):
@@ -204,14 +199,10 @@ def _make_regressor(spec: ModelSpec, seed: int):
 
 
 def _digest(*arrays) -> str:
-    import hashlib
-    h = hashlib.sha256()
-    for arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        h.update(str(arr.dtype).encode())
-        h.update(str(arr.shape).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
+    return sha256_hex(*(
+        part for arr in arrays
+        for part in (str(arr.dtype).encode(), str(arr.shape).encode(), arr)
+    ))
 
 
 @dataclass
@@ -365,6 +356,61 @@ class StrategyResult:
         return normalized
 
 
+def check_scorable(truth: np.ndarray, where: str) -> None:
+    """Raise FoldPlanError, naming `where`, unless R^2 can score every
+    component of the (n, 3) test truth."""
+    n = len(truth)
+    if n < 2:
+        raise FoldPlanError(f"{where} has {n} test row(s); R^2 needs at least 2")
+    constant = ", ".join(COMPONENTS[j] for j in constant_columns(truth))
+    if constant:
+        raise FoldPlanError(
+            f"{where}: every test row has the same {constant}; "
+            "R^2 needs two values of each component"
+        )
+
+
+def _check_training(table: ObservationTable, train_index: np.ndarray,
+                    strategy: int, specs: list[ModelSpec], where: str) -> None:
+    """Raise FoldPlanError, naming `where`, for a training split that
+    `fit_fold` would reject: one row of a class for SMOTE, one supervision
+    group for the projection, or KNN's k above the rows KNN is fit on."""
+    if strategy == 1:
+        counts = np.bincount(table.texture_codes[train_index])
+        lone = np.flatnonzero(counts == 1)
+        if lone.size:  # SMOTE draws each synthetic row between two of a class
+            names = ", ".join(TextureClass.from_index(c).value for c in lone)
+            raise FoldPlanError(
+                f"{where}: the training split holds one row of {names}; "
+                "strategy 1 needs none or at least 2 rows of each class per fold"
+            )
+        groups, kind = np.count_nonzero(counts), "texture class"
+        rows = groups * int(counts.max())  # SMOTE's output
+    else:
+        compositions = table.compositions[train_index]
+        groups = 2 if (compositions != compositions[0]).any() else 1
+        kind, rows = "composition", len(compositions)
+    if groups < 2:
+        raise FoldPlanError(
+            f"{where}: every training row has one {kind}; the projection needs two"
+        )
+    k = next((spec.k for spec in specs if spec.name == "knn"), 0)
+    if k > rows:
+        raise FoldPlanError(f"{where}: --k {k} exceeds the {rows} rows KNN is fit on")
+
+
+def check_external(train: ObservationTable, validation: ObservationTable,
+                   specs: list[ModelSpec], where: str) -> None:
+    """Raise for specimen ids in both tables, a validation table R^2 cannot
+    score (named `where`), or a training table `fit_fold` would reject."""
+    shared = set(map(str, train.specimen_ids)) & set(map(str, validation.specimen_ids))
+    if shared:
+        raise SpecimenOverlap(f"specimen ids in both tables: {sorted(shared)[:5]}")
+    check_scorable(validation.compositions, where)
+    _check_training(train, np.arange(len(train)), 2, specs,
+                    "the --external-validation fit")
+
+
 def run_strategies(
     table: ObservationTable,
     plan: CvPlan,
@@ -381,41 +427,24 @@ def run_strategies(
     separately. Returns ``{(strategy, model): result}``, strategy first,
     then model in spec order.
     """
+    families = {}
     for strategy in strategies:
         if strategy not in STRATEGY_IDS:
             raise ValueError(f"unknown strategy {strategy}")
-    if 2 in map(_family, strategies):  # R^2 must be defined on every fold
+        families.setdefault(_family(strategy), []).append(strategy)
+    # every fold must be feasible before the first fit: the regression
+    # family's rules on every fold first, then strategy 1's
+    for family in sorted(families, reverse=True):
         for fold in range(1, N_FOLDS + 1):
-            truth = table.compositions[plan.test_index(fold)]
-            if len(truth) < 2:
-                raise FoldPlanError(
-                    f"fold {fold} has {len(truth)} test row(s); strategies 2 and 3 "
-                    "need at least 2 per fold"
-                )
-            constant = ", ".join(COMPONENTS[j] for j in constant_columns(truth))
-            if constant:
-                raise FoldPlanError(
-                    f"fold {fold}: every test row has the same {constant}; "
-                    "strategies 2 and 3 need two values of each component per fold"
-                )
-    if 1 in strategies:  # SMOTE draws each synthetic row between two of a class
-        for fold in range(1, N_FOLDS + 1):
-            codes = table.texture_codes[plan.train_index(fold)]
-            lone = np.flatnonzero(np.bincount(codes) == 1)
-            if lone.size:
-                names = ", ".join(TextureClass.from_index(c).value for c in lone)
-                raise FoldPlanError(
-                    f"fold {fold}: the training split holds one row of {names}; "
-                    "strategy 1 needs none or at least 2 rows of each class per fold"
-                )
+            where = f"fold {fold}"
+            if family == 2:
+                check_scorable(table.compositions[plan.test_index(fold)], where)
+            _check_training(table, plan.train_index(fold), family, specs, where)
     results = {
         (s, spec.name): StrategyResult(strategy=s, model=spec.name)
         for s in strategies
         for spec in specs
     }
-    families = {}
-    for strategy in strategies:
-        families.setdefault(_family(strategy), []).append(strategy)
     for fold in range(1, N_FOLDS + 1):
         train_index = plan.train_index(fold)
         test_index = plan.test_index(fold)
@@ -437,24 +466,9 @@ def run_external_validation(
     seed: int = 0,
 ) -> dict[str, RegressionReport]:
     """Fit scaler + projection + one regressor per spec on the full training
-    table, then score the frozen transforms on the external validation
-    table. Returns ``{model: report}``. Before the fit, rejects shared
-    specimen ids, and a validation table R^2 cannot score."""
-    train_ids = set(map(str, train_table.specimen_ids))
-    validation_ids = set(map(str, validation_table.specimen_ids))
-    shared = train_ids & validation_ids
-    if shared:
-        raise SpecimenOverlap(f"specimen ids in both tables: {sorted(shared)[:5]}")
-    if len(validation_table) < 2:
-        raise UnscorableTable(f"{len(validation_table)} row(s); R^2 needs at least 2")
-    constant = ", ".join(
-        COMPONENTS[j] for j in constant_columns(validation_table.compositions)
-    )
-    if constant:
-        raise UnscorableTable(
-            f"every row has the same {constant}; R^2 needs two values of each "
-            "component"
-        )
+    table after `check_external`, then score the frozen transforms on the
+    external validation table. Returns ``{model: report}``."""
+    check_external(train_table, validation_table, list(specs), "the validation table")
     artifacts = fit_fold(
         train_table, np.arange(len(train_table)), 2, *specs, seed=derive_seed(seed, 4)
     )

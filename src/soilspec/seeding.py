@@ -3,6 +3,7 @@
 A splitmix64 finalizer hashes (master seed, index path) into independent
 64-bit stream seeds, so per-specimen, per-fold, and per-tree generators are
 reproducible and independent of scheduling or iteration order.
+`sha256_hex` takes every parameter digest of the leakage audits.
 """
 
 from __future__ import annotations
@@ -30,3 +31,13 @@ def derive_seed(master: int, *path: int) -> int:
 
 def make_rng(master: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master, *path)))
+
+
+def sha256_hex(*parts) -> str:
+    """SHA-256 of `parts` in order: bytes as given, arrays as C-order bytes."""
+    # hashlib loads OpenSSL's libcrypto (about 4 MB); only digests need it
+    import hashlib
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else part.tobytes())
+    return h.hexdigest()

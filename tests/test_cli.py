@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soilspec
 from soilspec import pipeline
@@ -430,6 +436,31 @@ class TestEndToEnd:
         assert config["params"]["kappa"] == 0.03
         assert config["params"]["roi"] == [10, 10]
 
+    def test_extract_rerun_leaves_no_stale_validation_csv(self, tiny_run, tmp_path,
+                                                           capsys):
+        # a dataset without validation cubes, extracted over an earlier extract
+        base, data, features = tiny_run
+        out = tmp_path / "features"
+        out.mkdir()
+        (out / "validation.csv").write_bytes((features / "validation.csv").read_bytes())
+        code, _, _ = run(["generate", "--seed", "5", "--replicates", "1,0",
+                          "--out", str(tmp_path / "data")], capsys)
+        assert code == 0
+        code, stdout, _ = run(
+            ["extract", "--data", str(tmp_path / "data"), "--out", str(out)], capsys
+        )
+        assert code == 0
+        assert stdout.split() == [str(out / "train.csv"), str(out / "validation.csv")]
+        header = (features / "validation.csv").read_bytes().splitlines()[0]
+        assert (out / "validation.csv").read_bytes() == header + b"\r\n"
+        code, _, err = run(
+            ["evaluate", "--features", str(out), "--out", str(tmp_path / "results"),
+             "--models", "knn", "--strategies", "1", "--external-validation"],
+            capsys,
+        )
+        assert code == 1
+        assert f"{out / 'validation.csv'}: no observation rows after the header" in err
+
     def test_evaluate_writes_cartesian_results(self, tiny_run, capsys):
         base, data, features = tiny_run
         out = base / "results"
@@ -621,7 +652,7 @@ class TestEndToEnd:
             capsys,
         )
         assert code == 1
-        assert "fold 3 has 1 test row(s); strategies 2 and 3 need at least 2" in err
+        assert "fold 3 has 1 test row(s); R^2 needs at least 2" in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("seed, fold", [(0, 1), (1, 3), (2, None), (3, 1)])
@@ -649,7 +680,7 @@ class TestEndToEnd:
             return
         assert code == 1
         assert (f"fold {fold}: every test row has the same clay, silt, sand; "
-                "strategies 2 and 3 need two values of each component per fold") in err
+                "R^2 needs two values of each component") in err
         assert fits == []
         assert list(out.iterdir()) == []
 
@@ -702,8 +733,8 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize(
         "rows, message",
-        [(slice(1, 2), "1 row(s); R^2 needs at least 2"),
-         (slice(1, 101), "every row has the same clay, silt, sand")],
+        [(slice(1, 2), " has 1 test row(s); R^2 needs at least 2"),
+         (slice(1, 101), ": every test row has the same clay, silt, sand")],
         ids=["one-row", "one-specimen"],
     )
     def test_unscorable_validation_csv_fails_before_the_fit(
@@ -723,9 +754,138 @@ class TestEndToEnd:
             capsys,
         )
         assert code == 1
-        assert f"{tmp_path / 'validation.csv'}: {message}" in err
+        assert f"{tmp_path / 'validation.csv'}{message}" in err
         assert fits == []
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "rows, argv, message",
+        [
+            ("seven", ["--models", "knn", "--strategies", "2", "--external-validation"],
+             "fold 3 has 1 test row(s); R^2 needs at least 2"),
+            ("tenth", ["--models", "rf,knn", "--k", "400", "--strategies", "2"],
+             "fold 1: --k 400 exceeds the 352 rows KNN is fit on"),
+            # SMOTE fits KNN on 600, 600, 612, 552 and 636 rows
+            ("tenth", ["--models", "knn", "--k", "560", "--strategies", "1"],
+             "fold 4: --k 560 exceeds the 552 rows KNN is fit on"),
+            ("tenth", ["--models", "knn", "--k", "441", "--strategies", "1",
+                       "--external-validation"],
+             "the --external-validation fit: --k 441 exceeds the 440 rows KNN is "
+             "fit on"),
+            ("sand", ["--models", "knn", "--strategies", "1"],
+             "fold 1: every training row has one texture class; the projection "
+             "needs two"),
+            ("specimen", ["--models", "knn", "--strategies", "1",
+                          "--external-validation"],
+             "the --external-validation fit: every training row has one "
+             "composition; the projection needs two"),
+        ],
+        ids=["one-row-fold", "k-over-split", "k-over-smote", "k-over-external",
+             "one-class", "one-composition"],
+    )
+    def test_unfittable_plan_fails_before_any_fit(self, tiny_run, tmp_path, capsys,
+                                                  monkeypatch, rows, argv, message):
+        base, data, features = tiny_run
+        lines = (features / "train.csv").read_bytes().splitlines(keepends=True)
+        kept = {
+            "seven": [lines[1 + 100 * i] for i in range(7)],
+            "tenth": [line for i, line in enumerate(lines[1:]) if i % 100 < 10],
+            "sand": [line for line in lines[1:] if line.rstrip().endswith(b",Sand")],
+            "specimen": lines[1:101],
+        }[rows]
+        (tmp_path / "train.csv").write_bytes(b"".join([lines[0], *kept]))
+        (tmp_path / "validation.csv").write_bytes(
+            (features / "validation.csv").read_bytes()
+        )
+        fits = []
+        monkeypatch.setattr(pipeline, "fit_fold",
+                            lambda *args, **kwargs: fits.append(args))
+        out = tmp_path / "results"
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out", str(out), *argv], capsys
+        )
+        assert code == 1
+        assert message in err
+        assert fits == []
+        assert list(out.iterdir()) == []
+
+    def test_k_above_the_split_but_not_smote_output_still_runs(self, tiny_run, tmp_path,
+                                                                capsys):
+        # 352 training rows per fold, but SMOTE fits KNN on 552 or more
+        base, data, features = tiny_run
+        lines = (features / "train.csv").read_bytes().splitlines(keepends=True)
+        (tmp_path / "train.csv").write_bytes(b"".join(
+            [lines[0]] + [line for i, line in enumerate(lines[1:]) if i % 100 < 10]
+        ))
+        out = tmp_path / "results"
+        code, _, err = run(
+            ["evaluate", "--features", str(tmp_path), "--out", str(out),
+             "--models", "knn", "--k", "400", "--strategies", "1"],
+            capsys,
+        )
+        assert code == 0, err
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out.glob("*.csv")}
+        assert digests == {
+            "aggregate.csv":
+                "e7fc6348599f91cb4992b9dd747bc74aba9d1a77a01f4add5952b5c82c9d0faf",
+            "confusion_s1_knn.csv":
+                "773fd7199f79bd26fa8587a4f801711a63b2e89969344fb7d58134b2148480cf",
+            "results.csv":
+                "af3493d2d44b7d31e695d1e8aad47376c8a9d4b0b7e3c18b75e624909c8d89ed",
+        }
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        specimens=st.sets(st.integers(0, 43), min_size=5, max_size=12),
+        blocks=st.sets(st.integers(0, 99), min_size=1, max_size=4),
+        models=st.lists(st.sampled_from(pipeline.MODEL_NAMES), min_size=1,
+                        unique=True),
+        strategies=st.lists(st.sampled_from(["1", "2", "3"]), min_size=1,
+                            unique=True),
+        k=st.integers(1, 30),
+        granularity=st.sampled_from(["block", "specimen"]),
+        stratify=st.booleans(),
+        external=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_plans_run_or_fail_before_any_fit(
+        self, tiny_run, specimens, blocks, models, strategies, k, granularity,
+        stratify, external, seed,
+    ):
+        # at least 5 specimens, so make_folds can always deal five folds
+        base, data, features = tiny_run
+        tables = {}
+        for name in ("train.csv", "validation.csv"):
+            lines = (features / name).read_bytes().splitlines(keepends=True)
+            chosen = specimens if name == "train.csv" else range(7)
+            tables[name] = b"".join([lines[0]] + [
+                lines[1 + 100 * s + b] for s in sorted(chosen) for b in sorted(blocks)
+            ])
+        argv = ["--models", ",".join(models), "--strategies", ",".join(strategies),
+                "--k", str(k), "--rf-trees", "2", "--granularity", granularity,
+                "--seed", str(seed)]
+        argv += ["--stratify"] * stratify + ["--external-validation"] * external
+        fits = []
+        fit_fold = pipeline.fit_fold
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            for name, raw in tables.items():
+                (Path(tmp) / name).write_bytes(raw)
+            out = Path(tmp) / "results"
+            mp.setattr(pipeline, "fit_fold",
+                       lambda *args, **kw: fits.append(1) or fit_fold(*args, **kw))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["evaluate", "--features", tmp, "--out", str(out), *argv])
+            written = sorted(path.name for path in out.iterdir())
+        if code == 0:
+            assert "results.csv" in written
+            return
+        assert code == 1
+        assert re.search(r"fold \d|\.csv|--[a-z]", err.getvalue()), err.getvalue()
+        assert fits == []
+        assert written == []
 
     def test_header_only_train_csv_names_the_file(self, tiny_run, tmp_path, capsys):
         base, data, features = tiny_run
