@@ -1,9 +1,9 @@
 """Command-line entry point: generate, extract, evaluate, signatures, triangle.
 
-Every command that writes an output directory drops the command and every
-parsed argument as run_config.json, so any result tree can be reproduced
-from its own provenance. Exit codes: 0 success, 1 domain error, 2 usage
-error.
+`main` creates a command's --out directory, runs the command and, after it
+succeeds, writes the command and every parsed argument there as
+run_config.json, so any result tree can be reproduced from its own
+provenance. Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import pipeline, synthgen
 from .core import Roi, validate_composition
-from .cubeio import read_observation_csv, write_observation_csv
-from .errors import DegenerateBand, SoilspecError
+from .cubeio import open_output, read_observation_csv, write_observation_csv
+from .errors import DegenerateBand, IoFailure, SoilspecError
 from .features import MinMaxScaler, emit_signatures
 from .pipeline import ModelSpec
 from .preprocess import NormalizationParams
@@ -28,14 +28,22 @@ from .triangle import classify_composition, dump_rules, normalize_prediction
 THREADS_ENV = "SOILSPEC_THREADS"
 
 
-def _write_run_config(args) -> None:
-    """Record the command and every parsed argument in args.out (provenance)."""
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    text = json.dumps(
-        {"command": args.command, "params": params},
-        sort_keys=True, indent=2, default=str,
-    )
-    (args.out / "run_config.json").write_text(text + "\n")
+# The files a command writes on some runs and not others (strategies 1 and 3
+# classify, so only they have a confusion matrix). Just before its first
+# write a command removes those it will not write, so none is left from an
+# earlier run; files it never writes are left alone.
+_OPTIONAL_OUTPUTS = {
+    "evaluate": {
+        *(f"confusion_s{s}_{m}.csv" for s in (1, 3) for m in pipeline.MODEL_NAMES),
+        "external_validation.csv",
+    },
+    "signatures": {"signatures_by_class.csv", "signatures_by_composition.csv"},
+}
+
+
+def _remove_stale(args, written) -> None:
+    for name in _OPTIONAL_OUTPUTS[args.command].difference(written):
+        (args.out / name).unlink(missing_ok=True)
 
 
 def _threads(args) -> int:
@@ -114,7 +122,6 @@ def cmd_generate(args) -> int:
         synthgen.default_benchmark(*(args.replicates or ())),
         endmembers, noise, args.out, threads=args.threads,
     )
-    _write_run_config(args)
     print(manifest)
     return 0
 
@@ -122,19 +129,16 @@ def cmd_generate(args) -> int:
 def cmd_extract(args) -> int:
     roi = Roi(x1=args.roi[0], y1=args.roi[1])
     params = NormalizationParams(kappa=args.kappa)
-    args.out.mkdir(parents=True, exist_ok=True)
     tables = synthgen.extract_tables(
         Path(args.data) / "manifest.csv", roi=roi, params=params, threads=args.threads
     )
     for role in ("train", "validation"):
         write_observation_csv(tables[role], args.out / f"{role}.csv")
-    _write_run_config(args)
     print(args.out / "train.csv", args.out / "validation.csv", sep="\n")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     table = read_observation_csv(args.features / "train.csv")
     specs = [
         ModelSpec(
@@ -158,16 +162,19 @@ def cmd_evaluate(args) -> int:
         reports = pipeline.run_external_validation(
             table, validation, *specs, seed=args.seed
         )
-    for (strategy, name), result in results.items():
-        if result.pooled_confusion() is not None:
-            pipeline.write_confusion_csv(
-                result, args.out / f"confusion_s{strategy}_{name}.csv"
-            )
+    confusions = {
+        f"confusion_s{strategy}_{name}.csv": result
+        for (strategy, name), result in results.items()
+        if result.pooled_confusion() is not None
+    }
+    external = ["external_validation.csv"] if args.external_validation else []
+    _remove_stale(args, [*confusions, *external])
+    for name, result in confusions.items():
+        pipeline.write_confusion_csv(result, args.out / name)
     pipeline.write_results_csv(list(results.values()), args.out / "results.csv")
     pipeline.write_aggregate_csv(list(results.values()), args.out / "aggregate.csv")
     if args.external_validation:
         pipeline.write_external_csv(reports, args.out / "external_validation.csv")
-    _write_run_config(args)
     print(args.out / "aggregate.csv")
     return 0
 
@@ -180,13 +187,12 @@ def cmd_signatures(args) -> int:
     except DegenerateBand as exc:
         raise DegenerateBand(f"{args.features}: {exc}") from None
     table = replace(table, features=scaler.transform(table.features))
-    args.out.mkdir(parents=True, exist_ok=True)
     groupings = ("class", "composition") if args.group_by == "both" else (args.group_by,)
-    for grouping in groupings:
-        path = args.out / f"signatures_by_{grouping}.csv"
-        emit_signatures(table, grouping, path)
-        print(path)
-    _write_run_config(args)
+    names = {grouping: f"signatures_by_{grouping}.csv" for grouping in groupings}
+    _remove_stale(args, names.values())
+    for grouping, name in names.items():
+        emit_signatures(table, grouping, args.out / name)
+        print(args.out / name)
     return 0
 
 
@@ -289,8 +295,21 @@ def main(argv=None) -> int:
             args.threads = _threads(args)
         except argparse.ArgumentTypeError as exc:
             parser.error(f"{THREADS_ENV}: {exc}")
+    out = getattr(args, "out", None)
     try:
-        return args.func(args)
+        if out:
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise IoFailure(f"cannot create {out}: {exc}") from exc
+        code = args.func(args)
+        if code == 0 and out:  # provenance: the command and every parsed argument
+            params = {k: v for k, v in vars(args).items()
+                      if k not in ("command", "func")}
+            with open_output(out / "run_config.json", "w") as fh:
+                fh.write(json.dumps({"command": args.command, "params": params},
+                                    sort_keys=True, indent=2, default=str) + "\n")
+        return code
     except (SoilspecError, OSError) as exc:
         print(f"soilspec {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadArgument,
     DimensionMismatch,
     IntensityOverflow,
     NegativeComponent,
@@ -73,7 +74,7 @@ class TextureClass(enum.Enum):
         try:
             return cls(name)
         except ValueError:
-            raise ValueError(f"unknown texture class name: {name!r}") from None
+            raise BadArgument(f"unknown texture class name: {name!r}") from None
 
 
 _TEXTURE_ORDER = tuple(TextureClass)

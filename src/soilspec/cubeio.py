@@ -16,6 +16,7 @@ import csv
 import os
 import re
 import struct
+from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
 
@@ -56,19 +57,35 @@ OBSERVATION_HEADER = (
 )
 
 
+@contextmanager
+def open_output(path: str | Path, mode: str):
+    """The file every output is written through, in `mode` "w" (line ends as
+    written) or "wb". The block writes ``{path}.partial``, which then replaces
+    `path`; on any exception it is removed, so `path` holds a whole file or
+    what it held before. An OSError fails as IoFailure naming `path`."""
+    partial_path = f"{path}.partial"
+    try:
+        with open(partial_path, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(partial_path, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.remove(partial_path)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def _write(path: str | Path, wavelengths: tuple[int, ...], planes: np.ndarray) -> None:
     """Write the header, the wavelength table and the planes straight to
     the file; a native little-endian C-contiguous cube is written without
     a copy."""
     bands, height, width = planes.shape
     payload = np.ascontiguousarray(planes, dtype="<u2")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, bands, width, height))
-            fh.write(np.asarray(wavelengths, dtype="<u2"))
-            fh.write(payload)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with open_output(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, bands, width, height))
+        fh.write(np.asarray(wavelengths, dtype="<u2"))
+        fh.write(payload)
 
 
 def _unpack(path: Path) -> tuple[tuple[int, ...], np.ndarray]:
@@ -174,26 +191,23 @@ def write_observation_csv(table: ObservationTable, path: str | Path) -> None:
     break.
     """
     n = len(table)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(OBSERVATION_HEADER) + "\r\n")
-            for start in range(0, n, _CSV_CHUNK_ROWS):
-                rows = slice(start, min(n, start + _CSV_CHUNK_ROWS))
-                fh.write("".join(
-                    f"{_csv_field(str(sid))},{r},{c},"
-                    f"{','.join(map(repr, feats))},{','.join(map(repr, comps))},"
-                    f"{TEXTURE_NAMES[code]}\r\n"
-                    for sid, r, c, feats, comps, code in zip(
-                        table.specimen_ids[rows].tolist(),
-                        table.block_rows[rows].tolist(),
-                        table.block_cols[rows].tolist(),
-                        table.features[rows].tolist(),
-                        table.compositions[rows].tolist(),
-                        table.texture_codes[rows].tolist(),
-                    )
-                ))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with open_output(path, "w") as fh:
+        fh.write(",".join(OBSERVATION_HEADER) + "\r\n")
+        for start in range(0, n, _CSV_CHUNK_ROWS):
+            rows = slice(start, min(n, start + _CSV_CHUNK_ROWS))
+            fh.write("".join(
+                f"{_csv_field(str(sid))},{r},{c},"
+                f"{','.join(map(repr, feats))},{','.join(map(repr, comps))},"
+                f"{TEXTURE_NAMES[code]}\r\n"
+                for sid, r, c, feats, comps, code in zip(
+                    table.specimen_ids[rows].tolist(),
+                    table.block_rows[rows].tolist(),
+                    table.block_cols[rows].tolist(),
+                    table.features[rows].tolist(),
+                    table.compositions[rows].tolist(),
+                    table.texture_codes[rows].tolist(),
+                )
+            ))
 
 
 def _read_text(path: Path) -> str:
@@ -252,13 +266,10 @@ def read_csv_rows(
 
 def write_csv_rows(path: str | Path, header: list[str], rows) -> None:
     """Write `header`, then `rows`, in csv.writer's default dialect."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with open_output(path, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _reject_first(path: Path, lines, bad: np.ndarray, error: type, what: str) -> None:

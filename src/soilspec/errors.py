@@ -9,6 +9,12 @@ class SoilspecError(Exception):
     """Base class for all domain errors raised by soilspec."""
 
 
+class BadArgument(SoilspecError, ValueError):
+    """A library call got an argument it does not accept: an unknown name, a
+    count below 1, a negative spread. The CLI's parser keeps these out of
+    reach. Also a ValueError, so a caller that catches one still does."""
+
+
 # -- cube container and tabular formats --------------------------------------
 
 class MalformedHeader(SoilspecError):

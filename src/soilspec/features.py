@@ -24,7 +24,7 @@ from .core import (
     TextureClass,
 )
 from .cubeio import fmt_float, write_csv_rows
-from .errors import DegenerateBand, DimensionMismatch, EmptyGroup, NotFitted
+from .errors import BadArgument, DegenerateBand, DimensionMismatch, EmptyGroup, NotFitted
 
 BLOCK_SIDE = ROI_SIDE // BLOCK_GRID
 BLOCKS_PER_SPECIMEN = BLOCK_GRID * BLOCK_GRID
@@ -140,7 +140,7 @@ def group_signatures(
         present = np.unique(codes)
         labels = [all_labels[int(c)] for c in present]
     else:
-        raise ValueError(f"unknown grouping {grouping!r}")
+        raise BadArgument(f"unknown grouping {grouping!r}")
     means = np.empty((present.size, N_BANDS), dtype=np.float64)
     for i, code in enumerate(present):
         means[i] = table.features[codes == code].mean(axis=0)

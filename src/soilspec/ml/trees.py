@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatch, EmptyTrainingSet, NotFitted
+from ..errors import BadArgument, DimensionMismatch, EmptyTrainingSet, NotFitted
 from ..seeding import make_rng, sha256_hex
 from .neighbors import as_labels, check_finite, check_labels, check_lengths
 
@@ -300,7 +300,7 @@ class _ForestBase:
 
     def __init__(self, n_trees=20, max_depth=None, min_leaf=1, seed=0):
         if n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+            raise BadArgument(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_leaf = min_leaf

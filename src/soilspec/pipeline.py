@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import N_CLASSES, ObservationTable, TextureClass
 from .cubeio import fmt_float, write_csv_rows
-from .errors import FoldPlanError, OffSimplex, SpecimenOverlap
+from .errors import BadArgument, FoldPlanError, OffSimplex, SpecimenOverlap
 from .features import MinMaxScaler, composition_group_labels
 from .lda import LdaModel, fit_lda, project, scatter
 from .ml.knn import KnnClassifier, KnnRegressor
@@ -97,7 +97,7 @@ def make_folds(
             dtype=np.int64,
         )
     else:
-        raise ValueError(f"unknown granularity {granularity!r}")
+        raise BadArgument(f"unknown granularity {granularity!r}")
     count = int(unit.max(initial=-1)) + 1
     if count < N_FOLDS:
         raise FoldPlanError(
@@ -138,7 +138,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         if self.name not in MODEL_NAMES:
-            raise ValueError(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
+            raise BadArgument(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
 
 
 def _make_classifier(spec: ModelSpec, seed: int):
@@ -252,7 +252,7 @@ def fit_fold(
     """
     names = [spec.name for spec in specs]
     if not names or len(set(names)) != len(names):
-        raise ValueError(f"need one or more distinct model specs, got {names}")
+        raise BadArgument(f"need one or more distinct model specs, got {names}")
     train = table.select(train_index)
     scaler = MinMaxScaler().fit(train.features)
     scaled = scaler.transform(train.features)
@@ -310,7 +310,7 @@ def evaluate_fold(
     order.
     """
     if any(_family(s) != _family(artifacts.strategy) for s in strategies):
-        raise ValueError(f"strategy-{artifacts.strategy} fit cannot score {strategies}")
+        raise BadArgument(f"strategy-{artifacts.strategy} fit cannot score {strategies}")
     test = table.select(test_index)
     projected = project(artifacts.lda_model, artifacts.scaler.transform(test.features))
     predicted = {
@@ -430,7 +430,7 @@ def run_strategies(
     families = {}
     for strategy in strategies:
         if strategy not in STRATEGY_IDS:
-            raise ValueError(f"unknown strategy {strategy}")
+            raise BadArgument(f"unknown strategy {strategy}")
         families.setdefault(_family(strategy), []).append(strategy)
     # every fold must be feasible before the first fit: the regression
     # family's rules on every fold first, then strategy 1's
@@ -512,7 +512,7 @@ def write_aggregate_csv(results: list[StrategyResult], path: str | Path) -> None
 def write_confusion_csv(result: StrategyResult, path: str | Path) -> None:
     normalized = result.pooled_confusion()
     if normalized is None:
-        raise ValueError("confusion output only applies to classification results")
+        raise BadArgument("confusion output only applies to classification results")
     names = [c.value for c in TextureClass]
     write_csv_rows(
         path,

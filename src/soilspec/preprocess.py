@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ROI_SIDE, DarkFrame, Roi, SpectralCube
-from .errors import DimensionMismatch
+from .errors import BadArgument, DimensionMismatch
 
 ROI_PIXELS = ROI_SIDE * ROI_SIDE
 
@@ -46,7 +46,7 @@ class NormalizationParams:
 
     def __post_init__(self) -> None:
         if not 0 < self.kappa < np.inf:
-            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+            raise BadArgument(f"kappa must be finite and > 0, got {self.kappa}")
 
 
 def _center_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

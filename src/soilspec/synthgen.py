@@ -41,7 +41,7 @@ from .cubeio import (
     write_cube,
     write_dark_frame,
 )
-from .errors import IoFailure, MalformedHeader, SoilspecError
+from .errors import BadArgument, IoFailure, MalformedHeader, SoilspecError
 from .features import (
     BLOCK_SIDE,
     BLOCKS_PER_SPECIMEN,
@@ -137,7 +137,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         if min(self.dark_std, self.shot_scale, self.block_texture_std) < 0:
-            raise ValueError("noise standard deviations must be >= 0")
+            raise BadArgument("noise standard deviations must be >= 0")
 
 
 # clean is noise-free, bench lands model scores in the high-but-imperfect
@@ -154,8 +154,8 @@ NOISE_PRESETS = {
 
 def noise_preset(name: str, seed: int = 0) -> NoiseModel:
     if name not in NOISE_PRESETS:
-        raise ValueError(f"unknown noise preset {name!r}; choose from "
-                         f"{sorted(NOISE_PRESETS)}")
+        raise BadArgument(f"unknown noise preset {name!r}; choose from "
+                          f"{sorted(NOISE_PRESETS)}")
     return replace(NOISE_PRESETS[name], seed=seed)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soilspec
-from soilspec import pipeline
+from soilspec import cli, cubeio, pipeline
 from soilspec.cli import main
 from soilspec.core import BAND_WAVELENGTHS_NM
 from soilspec.cubeio import read_observation_csv
@@ -1032,3 +1032,77 @@ class TestEndToEnd:
             "confusion_s1_dt.csv", "confusion_s3_rf.csv", "confusion_s3_dt.csv",
         }
         assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """generate, extract, evaluate --external-validation and signatures on the
+    seed-3 --replicates 1,1 tree, with every path opened for writing."""
+    base = tmp_path_factory.mktemp("recorded")
+    data, features = base / "data", base / "features"
+    results, sigs = base / "results", base / "sigs"
+    opened = []
+    open_output = cubeio.open_output
+
+    def recording(path, mode):
+        opened.append(Path(path))
+        return open_output(path, mode)
+
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cubeio, "open_output", recording)
+        mp.setattr(cli, "open_output", recording)
+        for argv in (
+            ["generate", "--seed", "3", "--replicates", "1,1", "--out", str(data),
+             "--threads", "2"],
+            ["extract", "--data", str(data), "--out", str(features)],
+            ["evaluate", "--features", str(features), "--out", str(results),
+             "--models", "knn,dt", "--strategies", "1,3", "--external-validation"],
+            ["signatures", "--features", str(features / "train.csv"),
+             "--out", str(sigs)],
+        ):
+            assert main(argv) == 0, argv
+    return base, opened
+
+
+class TestOneWriter:
+    def test_every_output_file_goes_through_open_output(self, recorded_run):
+        base, opened = recorded_run
+        written = sorted(path for path in base.rglob("*") if path.is_file())
+        assert sorted(opened) == written
+        assert {path.name for path in written} >= {
+            "dark.msc", "manifest.csv", "train.csv", "external_validation.csv",
+            "signatures_by_class.csv", "run_config.json",
+        }
+        assert not list(base.rglob("*.partial"))
+
+    def test_evaluate_rerun_leaves_no_stale_results(self, tiny_run, tmp_path, capsys):
+        base, data, features = tiny_run
+        out = tmp_path / "results"
+        out.mkdir()
+        for name in ("notes.txt", "confusion_s2_knn.csv"):  # not evaluate's
+            (out / name).write_text("kept\n")
+        for argv in (["--models", "knn,dt", "--strategies", "1,3",
+                      "--external-validation"],
+                     ["--models", "knn", "--strategies", "1"]):
+            code, _, _ = run(["evaluate", "--features", str(features),
+                              "--out", str(out), *argv], capsys)
+            assert code == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "aggregate.csv", "confusion_s1_knn.csv", "confusion_s2_knn.csv",
+            "notes.txt", "results.csv", "run_config.json",
+        ]
+
+    def test_signatures_rerun_leaves_no_stale_grouping(self, tiny_run, tmp_path,
+                                                       capsys):
+        base, data, features = tiny_run
+        out = tmp_path / "sigs"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        for group_by in ("both", "class"):
+            code, _, _ = run(["signatures", "--features", str(features / "train.csv"),
+                              "--out", str(out), "--group-by", group_by], capsys)
+            assert code == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "notes.txt", "run_config.json", "signatures_by_class.csv",
+        ]

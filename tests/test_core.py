@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soilspec
-from soilspec import cubeio, synthgen
+from soilspec import cubeio, features, pipeline, preprocess, synthgen
 from soilspec.core import (
     BAND_WAVELENGTHS_NM,
     N_BANDS,
@@ -33,6 +34,7 @@ from soilspec.cubeio import (
     write_observation_csv,
 )
 from soilspec.errors import (
+    BadArgument,
     BandCountMismatch,
     SoilspecError,
     IntensityOverflow,
@@ -43,6 +45,7 @@ from soilspec.errors import (
     SumViolation,
     TruncatedPayload,
 )
+from soilspec.ml.trees import RandomForestClassifier
 from soilspec.triangle import classify_composition, classify_percentages
 
 
@@ -793,3 +796,102 @@ class TestObservationCsvProperties:
                 assert got.tolist() == want.tolist()
             else:
                 assert got.tobytes() == want.tobytes()
+
+
+class Interrupted(Exception):
+    """Stands for whatever stops a writer part-way: a bug, a signal."""
+
+
+class IdThatInterrupts:
+    def __str__(self):
+        raise Interrupted("cut part-way")
+
+
+def rows_then_interrupt():
+    for i in range(5000):  # more than one buffer of text, so some reaches the file
+        yield [str(i), "x"]
+    raise Interrupted("cut part-way")
+
+
+def observation_table_that_interrupts():
+    table = make_table(n_specimens=7)
+    table.specimen_ids[600] = IdThatInterrupts()  # in the second chunk
+    return table
+
+
+# each writer, stopped part-way through its rows
+WRITERS_CUT_PART_WAY = {
+    "write_csv_rows": lambda path: cubeio.write_csv_rows(
+        path, ["i", "x"], rows_then_interrupt()),
+    "write_observation_csv": lambda path: write_observation_csv(
+        observation_table_that_interrupts(), path),
+}
+
+
+@pytest.mark.parametrize("write", WRITERS_CUT_PART_WAY.values(),
+                         ids=WRITERS_CUT_PART_WAY.keys())
+class TestWholeOutputs:
+    """An output is written whole or not at all."""
+
+    def test_a_cut_write_leaves_no_file(self, tmp_path, write):
+        with pytest.raises(Interrupted):
+            write(tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_cut_write_keeps_the_old_file(self, tmp_path, write):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old,bytes\r\n")
+        with pytest.raises(Interrupted):
+            write(path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old,bytes\r\n"
+
+
+def test_open_output_replaces_the_file_when_the_block_ends(tmp_path):
+    path = tmp_path / "out.msc"
+    path.write_bytes(b"old")
+    with cubeio.open_output(path, "wb") as fh:
+        fh.write(b"new")
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.msc",
+                                                             "out.msc.partial"]
+    assert path.read_bytes() == b"new"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_open_output_turns_an_os_error_into_io_failure(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(IoFailure) as exc:
+        with cubeio.open_output(path, "w"):
+            raise OSError(28, "No space left on device")
+    assert str(exc.value) == f"cannot write {path}: [Errno 28] No space left on device"
+    assert list(tmp_path.iterdir()) == []
+
+
+_TABLE = make_table()
+_ROWS = np.arange(len(_TABLE))
+# every call that rejects an argument the CLI's parser never lets through
+BAD_ARGUMENTS = {
+    "core.TextureClass.from_name": lambda: TextureClass.from_name("Mud"),
+    "features.group_signatures": lambda: features.group_signatures(_TABLE, "hue"),
+    "preprocess.NormalizationParams": lambda: preprocess.NormalizationParams(0.0),
+    "synthgen.NoiseModel": lambda: synthgen.NoiseModel(dark_std=-1.0),
+    "synthgen.noise_preset": lambda: synthgen.noise_preset("loud"),
+    "ml.trees.RandomForestClassifier": lambda: RandomForestClassifier(n_trees=0),
+    "pipeline.make_folds": lambda: pipeline.make_folds(_TABLE, 0, "pixel"),
+    "pipeline.ModelSpec": lambda: pipeline.ModelSpec("svm"),
+    "pipeline.fit_fold": lambda: pipeline.fit_fold(_TABLE, _ROWS, 1, seed=0),
+    "pipeline.evaluate_fold": lambda: pipeline.evaluate_fold(
+        SimpleNamespace(strategy=1), _TABLE, _ROWS, [2]),
+    "pipeline.run_strategies": lambda: pipeline.run_strategies(
+        _TABLE, None, [4], [pipeline.ModelSpec("knn")]),
+    "pipeline.write_confusion_csv": lambda: pipeline.write_confusion_csv(
+        SimpleNamespace(pooled_confusion=lambda: None), "unused.csv"),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_a_bad_argument_is_a_soilspec_error_and_a_value_error(call):
+    with pytest.raises(BadArgument) as exc:
+        call()
+    assert isinstance(exc.value, SoilspecError) and isinstance(exc.value, ValueError)
