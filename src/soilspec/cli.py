@@ -1,9 +1,10 @@
 """Command-line entry point: generate, extract, evaluate, signatures, triangle.
 
-`main` creates a command's --out directory, runs the command and, after it
-succeeds, writes the command and every parsed argument there as
-run_config.json, so any result tree can be reproduced from its own
-provenance. Exit codes: 0 success, 1 domain error, 2 usage error.
+`main` creates a command's --out directory and removes its run_config.json,
+runs the command and, only after it succeeds, writes the command and every
+parsed argument there as run_config.json: a result tree that has one holds
+a finished run and can be reproduced from its own provenance. Exit codes:
+0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -150,18 +151,14 @@ def cmd_evaluate(args) -> int:
         )
         for name in args.models
     ]
-    if args.external_validation:  # every check runs before the first fit
-        validation_path = args.features / "validation.csv"
-        validation = read_observation_csv(validation_path)
-        pipeline.check_external(table, validation, specs, str(validation_path))
+    path = args.features / "validation.csv"
+    validation = read_observation_csv(path) if args.external_validation else None
     plan = pipeline.make_folds(
         table, seed=args.seed, granularity=args.granularity, stratify=args.stratify
     )
-    results = pipeline.run_strategies(table, plan, args.strategies, specs)
-    if args.external_validation:
-        reports = pipeline.run_external_validation(
-            table, validation, *specs, seed=args.seed
-        )
+    results, reports = pipeline.run_evaluation(
+        table, plan, args.strategies, specs, validation, str(path)
+    )
     confusions = {
         f"confusion_s{strategy}_{name}.csv": result
         for (strategy, name), result in results.items()
@@ -302,6 +299,7 @@ def main(argv=None) -> int:
                 out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise IoFailure(f"cannot create {out}: {exc}") from exc
+            (out / "run_config.json").unlink(missing_ok=True)
         code = args.func(args)
         if code == 0 and out:  # provenance: the command and every parsed argument
             params = {k: v for k, v in vars(args).items()

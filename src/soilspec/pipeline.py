@@ -7,15 +7,16 @@ scores: `fit_fold` fits the per-band min-max scaler, the discriminant
 projection, the oversampler and one learner per model on the training split
 only; `evaluate_fold` transforms the held-out rows once with the frozen
 parameters and scores every model under every requested strategy.
-`run_strategies` runs the stage per fold and strategy family;
-`run_external_validation` runs it once, with the validation table as the
-test split.
+`run_evaluation` is the one path through it: it plans every fit (one per
+fold and strategy family, then the external fit), checks them all, then runs
+them. `run_strategies` and `run_external_validation` are views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -399,83 +400,83 @@ def _check_training(table: ObservationTable, train_index: np.ndarray,
         raise FoldPlanError(f"{where}: --k {k} exceeds the {rows} rows KNN is fit on")
 
 
-def check_external(train: ObservationTable, validation: ObservationTable,
-                   specs: list[ModelSpec], where: str) -> None:
-    """Raise for specimen ids in both tables, a validation table R^2 cannot
-    score (named `where`), or a training table `fit_fold` would reject."""
-    shared = set(map(str, train.specimen_ids)) & set(map(str, validation.specimen_ids))
-    if shared:
-        raise SpecimenOverlap(f"specimen ids in both tables: {sorted(shared)[:5]}")
-    check_scorable(validation.compositions, where)
-    _check_training(train, np.arange(len(train)), 2, specs,
-                    "the --external-validation fit")
+class _Task(NamedTuple):
+    """A fold of one strategy family, or the external fit; `names` name its
+    test rows and its training split in the rules' messages."""
+
+    names: tuple[str, str]
+    train_index: np.ndarray
+    test: ObservationTable
+    test_index: np.ndarray
+    family: int
+    strategies: list[int]
+    seed: int
 
 
-def run_strategies(
-    table: ObservationTable,
-    plan: CvPlan,
-    strategies: list[int],
-    specs: list[ModelSpec],
-) -> dict[tuple[int, str], StrategyResult]:
-    """Run several strategies and models over the same folds.
+def run_evaluation(table: ObservationTable, plan: CvPlan, strategies: list[int],
+                   specs: list[ModelSpec], validation: ObservationTable | None = None,
+                   where: str = "the validation table"):
+    """Cross-validate `strategies` over the folds of `plan` and, given a
+    `validation` table (named `where`), score a fit on all of `table` on it.
 
-    Per fold, each strategy family (classification; regression for
-    strategies 2 and 3) fits its transforms once, one learner per spec, and
-    scores every requested strategy of the family from one prediction per
-    learner. Fold seeds depend on (plan seed, strategy family, fold), so
-    results are identical whether strategies and models run together or
-    separately. Returns ``{(strategy, model): result}``, strategy first,
-    then model in spec order.
+    A task (one per fold and strategy family, then the external fit) fits
+    its transforms and one learner per spec once, and scores each strategy
+    of its family from one prediction per learner. Seeds come from (plan
+    seed, family, fold), or (plan seed, 4) for the external fit, so results
+    do not depend on which strategies and models run together. Returns
+    ``({(strategy, model): result}, {model: external report})``.
     """
     families = {}
     for strategy in strategies:
         if strategy not in STRATEGY_IDS:
             raise BadArgument(f"unknown strategy {strategy}")
         families.setdefault(_family(strategy), []).append(strategy)
-    # every fold must be feasible before the first fit: the regression
-    # family's rules on every fold first, then strategy 1's
-    for family in sorted(families, reverse=True):
-        for fold in range(1, N_FOLDS + 1):
-            where = f"fold {fold}"
-            if family == 2:
-                check_scorable(table.compositions[plan.test_index(fold)], where)
-            _check_training(table, plan.train_index(fold), family, specs, where)
-    results = {
-        (s, spec.name): StrategyResult(strategy=s, model=spec.name)
-        for s in strategies
-        for spec in specs
-    }
-    for fold in range(1, N_FOLDS + 1):
-        train_index = plan.train_index(fold)
-        test_index = plan.test_index(fold)
-        for family, members in sorted(families.items()):
-            artifacts = fit_fold(
-                table, train_index, family, *specs,
-                seed=derive_seed(plan.seed, family, fold),
-            )
-            reports = evaluate_fold(artifacts, table, test_index, members)
-            for key, report in reports.items():
-                results[key].fold_reports.append(report)
-    return results
+    tasks = [
+        _Task((f"fold {fold}",) * 2, plan.train_index(fold), table,
+              plan.test_index(fold), family, members,
+              derive_seed(plan.seed, family, fold))
+        for fold in range(1, N_FOLDS + 1)
+        for family, members in sorted(families.items())
+    ]
+    if validation is not None:
+        shared = set(map(str, table.specimen_ids)) & set(map(str, validation.specimen_ids))
+        if shared:
+            raise SpecimenOverlap(f"specimen ids in both tables: {sorted(shared)[:5]}")
+        tasks.append(_Task((where, "the --external-validation fit"),
+                           np.arange(len(table)), validation,
+                           np.arange(len(validation)), 2, [2], derive_seed(plan.seed, 4)))
+    # every task must be feasible before the first fit: the external fit's
+    # rules first, then the regression family's on every fold, then strategy 1's
+    for task in sorted(tasks, key=lambda task: (task.test is table, -task.family)):
+        if task.family == 2:
+            check_scorable(task.test.compositions[task.test_index], task.names[0])
+        _check_training(table, task.train_index, task.family, specs, task.names[1])
+    results = {(s, spec.name): StrategyResult(s, spec.name)
+               for s in strategies for spec in specs}
+    external = {}
+    for task in tasks:
+        artifacts = fit_fold(table, task.train_index, task.family, *specs, seed=task.seed)
+        reports = evaluate_fold(artifacts, task.test, task.test_index, task.strategies)
+        for (strategy, name), report in reports.items():
+            if task.test is table:  # a fold's test rows come from `table`
+                results[strategy, name].fold_reports.append(report)
+            else:
+                external[name] = report
+    return results, external
 
 
-def run_external_validation(
-    train_table: ObservationTable,
-    validation_table: ObservationTable,
-    *specs: ModelSpec,
-    seed: int = 0,
-) -> dict[str, RegressionReport]:
-    """Fit scaler + projection + one regressor per spec on the full training
-    table after `check_external`, then score the frozen transforms on the
-    external validation table. Returns ``{model: report}``."""
-    check_external(train_table, validation_table, list(specs), "the validation table")
-    artifacts = fit_fold(
-        train_table, np.arange(len(train_table)), 2, *specs, seed=derive_seed(seed, 4)
-    )
-    reports = evaluate_fold(
-        artifacts, validation_table, np.arange(len(validation_table)), [2]
-    )
-    return {name: report for (_, name), report in reports.items()}
+def run_strategies(table: ObservationTable, plan: CvPlan, strategies: list[int],
+                   specs: list[ModelSpec]) -> dict[tuple[int, str], StrategyResult]:
+    """`run_evaluation` without a validation table: ``{(strategy, model): result}``."""
+    return run_evaluation(table, plan, strategies, specs)[0]
+
+
+def run_external_validation(train_table: ObservationTable,
+                            validation_table: ObservationTable, *specs: ModelSpec,
+                            seed: int = 0) -> dict[str, RegressionReport]:
+    """`run_evaluation`'s external fit alone: ``{model: report}``."""
+    plan = CvPlan(seed=seed, assignment=np.zeros(0, dtype=np.int64))
+    return run_evaluation(train_table, plan, [], list(specs), validation_table)[1]
 
 
 # -- result serialization ------------------------------------------------------

@@ -887,6 +887,35 @@ class TestEndToEnd:
         assert fits == []
         assert written == []
 
+    def test_each_rule_and_fit_runs_once_per_task(self, tiny_run, tmp_path, capsys,
+                                                  monkeypatch):
+        base, data, features = tiny_run
+        calls = {"check_scorable": [], "_check_training": [], "fit_fold": []}
+        for name, record in calls.items():
+            wrapped = getattr(pipeline, name)
+            monkeypatch.setattr(
+                pipeline, name,
+                lambda *args, _wrapped=wrapped, _record=record, **kwargs:
+                    _record.append(args) or _wrapped(*args, **kwargs),
+            )
+        code, _, err = run(
+            ["evaluate", "--features", str(features), "--out", str(tmp_path / "r"),
+             "--models", "knn,rf,dt", "--rf-trees", "2", "--strategies", "1,2,3",
+             "--external-validation"],
+            capsys,
+        )
+        assert code == 0, err
+        assert len(calls["check_scorable"]) == 6
+        assert len(calls["_check_training"]) == 11
+        table = read_observation_csv(features / "train.csv")
+        plan = pipeline.make_folds(table, seed=0)
+        folds = {plan.train_index(fold).tobytes(): fold for fold in range(1, 6)}
+        folds[np.arange(len(table)).tobytes()] = "all rows"
+        fits = [(folds[args[1].tobytes()], args[2]) for args in calls["fit_fold"]]
+        assert fits == [
+            (fold, family) for fold in range(1, 6) for family in (1, 2)
+        ] + [("all rows", 2)]
+
     def test_header_only_train_csv_names_the_file(self, tiny_run, tmp_path, capsys):
         base, data, features = tiny_run
         header = (features / "train.csv").read_text().splitlines()[0]
@@ -1092,6 +1121,23 @@ class TestOneWriter:
             "aggregate.csv", "confusion_s1_knn.csv", "confusion_s2_knn.csv",
             "notes.txt", "results.csv", "run_config.json",
         ]
+
+    def test_failed_rerun_leaves_no_run_config(self, tiny_run, tmp_path, capsys):
+        base, data, features = tiny_run
+        out = tmp_path / "f1"
+        argv = ["evaluate", "--features", str(features), "--out", str(out),
+                "--strategies", "1"]
+        code, _, _ = run([*argv, "--models", "knn,dt", "--seed", "1"], capsys)
+        assert code == 0
+        (out / "results.csv").unlink()
+        (out / "results.csv").mkdir()
+        code, _, err = run([*argv, "--models", "knn", "--seed", "9"], capsys)
+        assert code == 1
+        assert f"cannot write {out / 'results.csv'}" in err
+        # the seed-9 confusion matrix sits next to the seed-1 aggregate.csv,
+        # and no run_config.json claims the directory holds a finished run
+        assert (out / "confusion_s1_knn.csv").exists()
+        assert not (out / "run_config.json").exists()
 
     def test_signatures_rerun_leaves_no_stale_grouping(self, tiny_run, tmp_path,
                                                        capsys):

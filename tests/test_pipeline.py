@@ -13,6 +13,7 @@ from soilspec.pipeline import (
     evaluate_fold,
     fit_fold,
     make_folds,
+    run_evaluation,
     run_external_validation,
     run_strategies,
     write_aggregate_csv,
@@ -392,6 +393,37 @@ class TestExternalValidation:
         table = cluster_table(seed=27)
         with pytest.raises(SpecimenOverlap):
             run_external_validation(table, table, ModelSpec("knn"))
+
+
+class TestOnePath:
+    SPECS = [ModelSpec("knn", k=3), ModelSpec("dt")]
+
+    def test_one_call_matches_the_two_views(self):
+        table = cluster_table(noise=2.0, seed=48)
+        external = cluster_table(noise=2.0, seed=48, specimens_per_mixture=2)
+        external.specimen_ids = np.array(
+            [f"val-{s}" for s in external.specimen_ids], dtype=object
+        )
+        plan = make_folds(table, seed=49)
+        results, reports = run_evaluation(table, plan, [1, 2, 3], self.SPECS, external)
+        cv = run_strategies(table, plan, [1, 2, 3], self.SPECS)
+        assert list(results) == list(cv)
+        for key, result in results.items():
+            assert result.fold_metrics() == cv[key].fold_metrics()
+        alone = run_external_validation(table, external, *self.SPECS, seed=49)
+        assert list(reports) == list(alone) == ["knn", "dt"]
+        for name, report in reports.items():
+            assert report.metric_dict() == alone[name].metric_dict()
+
+    def test_specimen_overlap_raises_before_any_fit(self, monkeypatch):
+        table = cluster_table(seed=50)
+        fits = []
+        monkeypatch.setattr(soilspec.pipeline, "fit_fold",
+                            lambda *args, **kwargs: fits.append(args))
+        with pytest.raises(SpecimenOverlap):
+            run_evaluation(table, make_folds(table, seed=51), [1, 2, 3],
+                           [ModelSpec("knn")], table)
+        assert fits == []
 
 
 class TestPooledConfusion:
