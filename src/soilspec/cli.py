@@ -157,7 +157,7 @@ def cmd_evaluate(args) -> int:
         table, seed=args.seed, granularity=args.granularity, stratify=args.stratify
     )
     results, reports = pipeline.run_evaluation(
-        table, plan, args.strategies, specs, validation, str(path)
+        table, plan, args.strategies, specs, validation, str(path), args.threads
     )
     confusions = {
         f"confusion_s{strategy}_{name}.csv": result
@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-leaf", type=_positive_int, default=ModelSpec.min_leaf)
     p.add_argument("--external-validation", action="store_true")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="recorded in run_config.json; evaluate runs on one thread")
+                   help="worker lanes for the fold fits of a plan with rf or dt, "
+                   "capped at the number of fits; knn-only plans run in one")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("signatures", help="emit per-group spectral signatures")

@@ -78,6 +78,12 @@ def flatten_observations(
     )
 
 
+def constant_bands(features: np.ndarray) -> list[int]:
+    """The columns of a (rows, bands) matrix with one value in every row,
+    which no min-max scale can map onto [0, 1]."""
+    return np.flatnonzero(features.max(axis=0) == features.min(axis=0)).tolist()
+
+
 class MinMaxScaler:
     """Per-band linear map of training min/max onto [0, 1].
 
@@ -93,12 +99,10 @@ class MinMaxScaler:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] < 2:
             raise DegenerateBand("need at least two rows to fit a min-max scale")
-        lo = features.min(axis=0)
-        hi = features.max(axis=0)
-        flat = np.flatnonzero(hi == lo)
-        if flat.size:
-            raise DegenerateBand(f"band column(s) {flat.tolist()} are constant")
-        self.min_, self.max_ = lo, hi
+        flat = constant_bands(features)
+        if flat:
+            raise DegenerateBand(f"band column(s) {flat} are constant")
+        self.min_, self.max_ = features.min(axis=0), features.max(axis=0)
         return self
 
     def transform(self, features: np.ndarray) -> np.ndarray:

@@ -9,21 +9,25 @@ only; `evaluate_fold` transforms the held-out rows once with the frozen
 parameters and scores every model under every requested strategy.
 `run_evaluation` is the one path through it: it plans every fit (one per
 fold and strategy family, then the external fit), checks them all, then runs
-them. `run_strategies` and `run_external_validation` are views of it.
+each through `run_task`, on forked worker lanes when the plan builds trees.
+`run_strategies` and `run_external_validation` are views of it.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import N_CLASSES, ObservationTable, TextureClass
+from .core import BAND_WAVELENGTHS_NM, N_CLASSES, ObservationTable, TextureClass
 from .cubeio import fmt_float, write_csv_rows
-from .errors import BadArgument, FoldPlanError, OffSimplex, SpecimenOverlap
-from .features import MinMaxScaler, composition_group_labels
+from .errors import BadArgument, FoldPlanError, OffSimplex, SoilspecError, SpecimenOverlap
+from .features import MinMaxScaler, composition_group_labels, constant_bands
 from .lda import LdaModel, fit_lda, project, scatter
 from .ml.knn import KnnClassifier, KnnRegressor
 from .ml.metrics import (
@@ -374,8 +378,16 @@ def check_scorable(truth: np.ndarray, where: str) -> None:
 def _check_training(table: ObservationTable, train_index: np.ndarray,
                     strategy: int, specs: list[ModelSpec], where: str) -> None:
     """Raise FoldPlanError, naming `where`, for a training split that
-    `fit_fold` would reject: one row of a class for SMOTE, one supervision
-    group for the projection, or KNN's k above the rows KNN is fit on."""
+    `fit_fold` would reject: a constant band for the scaler, one row of a
+    class for SMOTE, one supervision group for the projection, or KNN's k
+    above the rows KNN is fit on."""
+    flat = [f"f{BAND_WAVELENGTHS_NM[j]}"
+            for j in constant_bands(table.features[train_index])]
+    if flat:
+        raise FoldPlanError(
+            f"{where}: band{'s' * (len(flat) > 1)} {', '.join(flat)} "
+            f"{'are' if len(flat) > 1 else 'is'} constant in the training split"
+        )
     if strategy == 1:
         counts = np.bincount(table.texture_codes[train_index])
         lone = np.flatnonzero(counts == 1)
@@ -413,9 +425,94 @@ class _Task(NamedTuple):
     seed: int
 
 
+def run_task(table: ObservationTable, task: _Task,
+             specs: list[ModelSpec]) -> dict[tuple[int, str], object]:
+    """Fit one task on its training split of `table` and score its test
+    rows: ``{(strategy, model): report}``."""
+    artifacts = fit_fold(table, task.train_index, task.family, *specs, seed=task.seed)
+    return evaluate_fold(artifacts, task.test, task.test_index, task.strategies)
+
+
+def _run_in_lanes(table: ObservationTable, tasks: list[_Task], specs: list[ModelSpec],
+                  threads: int) -> list[dict]:
+    """`run_task` over `tasks`, in plan order, on min(threads, tasks) lanes.
+
+    Each lane runs a contiguous chunk of the plan: this process the first,
+    a forked child each other one, which pipes back one pickled list of
+    ``(task index, reports or exception)`` and exits. Seeds come from the
+    plan, so the reports, and the exception of the earliest failed task,
+    equal those of one lane. A plan without a tree model runs in one lane:
+    its fits take little more time than a fork and its set-up.
+    """
+    lanes = min(threads, len(tasks))
+    if lanes < 2 or not hasattr(os, "fork") or all(s.name == "knn" for s in specs):
+        return [run_task(table, task, specs) for task in tasks]
+    import scipy.linalg  # noqa: F401  (imported once here, not in every child)
+    import scipy.spatial  # noqa: F401
+
+    chunks = [range(len(tasks) * i // lanes, len(tasks) * (i + 1) // lanes)
+              for i in range(lanes)]
+    results: list = [None] * len(tasks)
+    children = []  # (pid, read end of its pipe, its chunk), in lane order
+    try:
+        for chunk in chunks[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_lane(write_fd, table, tasks, specs, chunk)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), chunk))
+        for i in chunks[0]:
+            results[i] = run_task(table, tasks[i], specs)
+        while children:
+            pid, pipe, chunk = children[0]
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code != 0:  # a lane exits 0 only once its whole payload is sent
+                fits = ", ".join(
+                    f"{t.names[1]} (strategy {','.join(map(str, t.strategies))})"
+                    for t in tasks[chunk.start:chunk.stop]
+                )
+                raise SoilspecError(f"the worker fitting {fits} exited with status "
+                                    f"{code} before it sent its results")
+            for i, outcome in pickle.loads(payload):
+                if isinstance(outcome, Exception):
+                    raise outcome
+                results[i] = outcome
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+        for pid, _, _ in children:
+            os.waitpid(pid, 0)
+    return results
+
+
+def _run_lane(write_fd: int, table: ObservationTable, tasks: list[_Task],
+              specs: list[ModelSpec], chunk: range) -> None:
+    """A forked lane: run `chunk` up to its first failed task, write what
+    it did to `write_fd`, and leave the process without returning."""
+    code = 1
+    try:
+        done = []
+        for i in chunk:
+            try:
+                done.append((i, run_task(table, tasks[i], specs)))
+            except Exception as exc:  # raised again, in plan order, by the parent
+                done.append((i, exc))
+                break
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(done, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_evaluation(table: ObservationTable, plan: CvPlan, strategies: list[int],
                    specs: list[ModelSpec], validation: ObservationTable | None = None,
-                   where: str = "the validation table"):
+                   where: str = "the validation table", threads: int = 1):
     """Cross-validate `strategies` over the folds of `plan` and, given a
     `validation` table (named `where`), score a fit on all of `table` on it.
 
@@ -423,7 +520,8 @@ def run_evaluation(table: ObservationTable, plan: CvPlan, strategies: list[int],
     its transforms and one learner per spec once, and scores each strategy
     of its family from one prediction per learner. Seeds come from (plan
     seed, family, fold), or (plan seed, 4) for the external fit, so results
-    do not depend on which strategies and models run together. Returns
+    do not depend on which strategies and models run together, nor on how
+    many `threads` (worker lanes) run the tasks. Returns
     ``({(strategy, model): result}, {model: external report})``.
     """
     families = {}
@@ -454,9 +552,7 @@ def run_evaluation(table: ObservationTable, plan: CvPlan, strategies: list[int],
     results = {(s, spec.name): StrategyResult(s, spec.name)
                for s in strategies for spec in specs}
     external = {}
-    for task in tasks:
-        artifacts = fit_fold(table, task.train_index, task.family, *specs, seed=task.seed)
-        reports = evaluate_fold(artifacts, task.test, task.test_index, task.strategies)
+    for task, reports in zip(tasks, _run_in_lanes(table, tasks, specs, threads)):
         for (strategy, name), report in reports.items():
             if task.test is table:  # a fold's test rows come from `table`
                 results[strategy, name].fold_reports.append(report)

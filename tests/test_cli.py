@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -21,6 +23,7 @@ from soilspec import cli, cubeio, pipeline
 from soilspec.cli import main
 from soilspec.core import BAND_WAVELENGTHS_NM
 from soilspec.cubeio import read_observation_csv
+from soilspec.errors import SoilspecError
 from soilspec.synthgen import DEFAULT_ENDMEMBERS
 
 
@@ -1152,3 +1155,129 @@ class TestOneWriter:
         assert sorted(path.name for path in out.iterdir()) == [
             "notes.txt", "run_config.json", "signatures_by_class.csv",
         ]
+
+
+def test_constant_band_fails_before_any_fit(recorded_run, tmp_path, capsys,
+                                            monkeypatch):
+    base, _ = recorded_run
+    lines = (base / "features" / "train.csv").read_text().splitlines(keepends=True)
+    column = lines[0].split(",").index("f575")
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[column] = "0.5"
+    (tmp_path / "train.csv").write_text(
+        "".join([lines[0], *(",".join(row) for row in rows)])
+    )
+    fits = []
+    monkeypatch.setattr(pipeline, "fit_fold", lambda *args, **kwargs: fits.append(args))
+    out = tmp_path / "results"
+    code, _, err = run(["evaluate", "--features", str(tmp_path), "--out", str(out),
+                        "--models", "knn"], capsys)
+    assert code == 1
+    assert "fold 1: band f575 is constant in the training split" in err
+    assert fits == []
+    assert list(out.iterdir()) == []
+
+
+class TestWorkerLanes:
+    """evaluate --threads N fits a plan with a tree model on N forked lanes;
+    every outcome must be the one a single lane gives."""
+
+    ARGV = ["--models", "knn,dt", "--strategies", "1,2,3"]
+
+    @staticmethod
+    def evaluate(features, out, argv, capsys):
+        return run(["evaluate", "--features", str(features), "--out", str(out), *argv],
+                   capsys)
+
+    @pytest.mark.parametrize("fault, fold", [(None, None), ("raise", 2),
+                                             ("raise", 4), ("crash", 4)])
+    def test_a_lane_fails_as_one_lane_would_and_leaves_no_child(
+        self, recorded_run, tmp_path, capsys, monkeypatch, fault, fold
+    ):
+        # two lanes over ten tasks: this process runs the fits up to fold 3's
+        # strategy-1 fit, the forked lane the rest, so the fault hits the
+        # regression fit of fold 2 here and of fold 4 in the child
+        base, _ = recorded_run
+        features = base / "features"
+        plan = pipeline.make_folds(read_observation_csv(features / "train.csv"), seed=0)
+        target = plan.train_index(fold).tobytes() if fold else None
+        parent, fit_fold = os.getpid(), pipeline.fit_fold
+
+        def faulty(table, train_index, strategy, *specs, **kwargs):
+            if strategy == 2 and train_index.tobytes() == target:
+                if fault == "raise":
+                    raise SoilspecError(f"fold {fold}: injected")
+                if os.getpid() != parent:
+                    os._exit(3)
+            return fit_fold(table, train_index, strategy, *specs, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_fold", faulty)
+        outcomes = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            code, _, err = self.evaluate(features, out,
+                                         [*self.ARGV, "--threads", threads], capsys)
+            written = {p.name: p.read_bytes() for p in out.iterdir()
+                       if p.name != "run_config.json"}
+            outcomes.append((code, err, written))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if fault is None:
+            assert outcomes[0][0] == 0
+            assert outcomes[1] == outcomes[0]
+        elif fault == "raise":
+            assert outcomes[0] == (1, f"soilspec evaluate: fold {fold}: injected\n", {})
+            assert outcomes[1] == outcomes[0]
+        else:
+            code, err, written = outcomes[1]
+            assert (code, written) == (1, {})
+            assert ("the worker fitting fold 3 (strategy 2,3), fold 4 (strategy 1), "
+                    "fold 4 (strategy 2,3), fold 5 (strategy 1), fold 5 (strategy 2,3) "
+                    "exited with status 3 before it sent its results") in err
+
+    def test_bytes_are_equal_at_any_lane_count_and_forks_are_capped(
+        self, recorded_run, tmp_path, capsys, monkeypatch
+    ):
+        base, _ = recorded_run
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        argv = ["--rf-trees", "3", "--strategies", "1,2,3", "--external-validation"]
+        outputs, counts = {}, {}
+        for models, threads in [("knn,rf,dt", "1"), ("knn,rf,dt", "2"),
+                                ("knn,rf,dt", "3"), ("knn,rf,dt", "64"), ("knn", "64")]:
+            forks.clear()
+            out = tmp_path / f"{models}-{threads}"
+            code, _, err = self.evaluate(
+                base / "features", out,
+                [*argv, "--models", models, "--threads", threads], capsys,
+            )
+            assert code == 0, err
+            outputs[models, threads] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+            counts[models, threads] = len(forks)
+        assert counts == {("knn,rf,dt", "1"): 0, ("knn,rf,dt", "2"): 1,
+                          ("knn,rf,dt", "3"): 2, ("knn,rf,dt", "64"): 10,
+                          ("knn", "64"): 0}
+        assert len(outputs["knn,rf,dt", "1"]) == 9
+        for threads in ("2", "3", "64"):
+            assert outputs["knn,rf,dt", threads] == outputs["knn,rf,dt", "1"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_traced_tree_run_records_every_loaded_layer(self, tmp_path, monkeypatch):
+        # perfbench/tracer.py patches its own process only, so a traced
+        # evaluate at --threads 2 records the first lane's tasks alone; that
+        # lane fits both strategy families, so every loaded layer shows
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        bench = importlib.import_module("run")
+        stock = bench.WORKLOADS["cv-trees"]
+        workload = dataclasses.replace(
+            stock, replicates=(1, 1), setup_rounds=1, iterations=1,
+            evaluate=stock.evaluate + ("--rf-trees", "3"),
+        )
+        record = bench.run_benchmark(workload, seed=3, trace=True, work_root=tmp_path)
+        assert record["result"]["correct"], record["problems"]
+        metrics = record["result"]["metrics"]
+        for layer in sorted(stock.loaded):
+            assert metrics[f"{layer}.calls"]["value"] > 0, layer
