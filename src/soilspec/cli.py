@@ -141,16 +141,9 @@ def cmd_extract(args) -> int:
 
 def cmd_evaluate(args) -> int:
     table = read_observation_csv(args.features / "train.csv")
-    specs = [
-        ModelSpec(
-            name=name,
-            k=args.k,
-            n_trees=args.rf_trees,
-            max_depth=args.max_depth,
-            min_leaf=args.min_leaf,
-        )
-        for name in args.models
-    ]
+    specs = [ModelSpec(name=name, k=args.k, n_trees=args.rf_trees,
+                       max_depth=args.max_depth, min_leaf=args.min_leaf)
+             for name in args.models]
     path = args.features / "validation.csv"
     validation = read_observation_csv(path) if args.external_validation else None
     plan = pipeline.make_folds(
@@ -262,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-leaf", type=_positive_int, default=ModelSpec.min_leaf)
     p.add_argument("--external-validation", action="store_true")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker lanes for the fold fits of a plan with rf or dt, "
-                   "capped at the number of fits; knn-only plans run in one")
+                   help="worker lanes for the fits, capped at the number of fits")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("signatures", help="emit per-group spectral signatures")

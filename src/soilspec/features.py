@@ -115,14 +115,20 @@ class MinMaxScaler:
 def composition_group_labels(compositions: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Assign one integer code per distinct (clay, silt, sand) triple.
 
-    Groups are ordered by ascending (clay, silt, sand); labels spell the
-    triple as Cl/M/S percentages. Used both for signature grouping and as
-    supervisory classes when reducing for composition analysis.
+    Groups are ordered by ascending (clay, silt, sand), 0.0 and -0.0 being
+    one value; labels spell the triple as Cl/M/S percentages, a zero as
+    0.00. Used both for signature grouping and as supervisory classes when
+    reducing for composition analysis.
     """
     compositions = np.asarray(compositions, dtype=np.float64)
-    keys, codes = np.unique(compositions, axis=0, return_inverse=True)
-    labels = [f"Cl{k[0]:.2f}_M{k[1]:.2f}_S{k[2]:.2f}" for k in keys]
-    return codes.astype(np.int64), labels
+    order = np.lexsort(compositions.T[::-1])  # stable; clay is the primary key
+    ranked = compositions[order]
+    starts = np.ones(len(ranked), dtype=bool)  # each group's first ranked row
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    codes = np.empty(len(ranked), dtype=np.int64)
+    codes[order] = np.cumsum(starts) - 1
+    labels = [f"Cl{k[0]:.2f}_M{k[1]:.2f}_S{k[2]:.2f}" for k in ranked[starts] + 0.0]
+    return codes, labels
 
 
 def group_signatures(
@@ -140,9 +146,8 @@ def group_signatures(
         present = np.unique(codes)
         labels = [TextureClass.from_index(int(c)).value for c in present]
     elif grouping == "composition":
-        codes, all_labels = composition_group_labels(table.compositions)
-        present = np.unique(codes)
-        labels = [all_labels[int(c)] for c in present]
+        codes, labels = composition_group_labels(table.compositions)
+        present = np.arange(len(labels))  # every code has a row
     else:
         raise BadArgument(f"unknown grouping {grouping!r}")
     means = np.empty((present.size, N_BANDS), dtype=np.float64)

@@ -9,7 +9,7 @@ only; `evaluate_fold` transforms the held-out rows once with the frozen
 parameters and scores every model under every requested strategy.
 `run_evaluation` is the one path through it: it plans every fit (one per
 fold and strategy family, then the external fit), checks them all, then runs
-each through `run_task`, on forked worker lanes when the plan builds trees.
+each through `run_task`, on forked worker lanes when `threads` > 1.
 `run_strategies` and `run_external_validation` are views of it.
 """
 
@@ -441,11 +441,10 @@ def _run_in_lanes(table: ObservationTable, tasks: list[_Task], specs: list[Model
     a forked child each other one, which pipes back one pickled list of
     ``(task index, reports or exception)`` and exits. Seeds come from the
     plan, so the reports, and the exception of the earliest failed task,
-    equal those of one lane. A plan without a tree model runs in one lane:
-    its fits take little more time than a fork and its set-up.
+    equal those of one lane. Without `os.fork` the plan runs in one lane.
     """
     lanes = min(threads, len(tasks))
-    if lanes < 2 or not hasattr(os, "fork") or all(s.name == "knn" for s in specs):
+    if lanes < 2 or not hasattr(os, "fork"):
         return [run_task(table, task, specs) for task in tasks]
     import scipy.linalg  # noqa: F401  (imported once here, not in every child)
     import scipy.spatial  # noqa: F401

@@ -1029,24 +1029,26 @@ class TestEndToEnd:
         assert (code, err) == (0, "")
 
     def test_evaluate_starts_no_thread(self, tiny_run, capsys, monkeypatch):
-        # a later process pool may fork inside evaluate only if no thread runs
+        # evaluate forks its worker lanes, which is safe only if no thread
+        # runs; a knn-only plan forks as a plan with a tree model does
         base, data, features = tiny_run
         starts = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: (starts.append(thread), start(thread)))
-        code, _, _ = run(
-            ["evaluate", "--features", str(features), "--out",
-             str(base / "one-thread"), "--threads", "2", "--models", "knn,dt",
-             "--strategies", "1,2,3", "--external-validation"],
-            capsys,
-        )
-        assert code == 0
+        for models in ("knn,dt", "knn"):
+            code, _, _ = run(
+                ["evaluate", "--features", str(features), "--out",
+                 str(base / f"one-thread-{models}"), "--threads", "2", "--models",
+                 models, "--strategies", "1,2,3", "--external-validation"],
+                capsys,
+            )
+            assert code == 0, models
         assert starts == []
 
     def test_thread_count_leaves_tree_outputs_unchanged(self, tiny_run, capsys):
-        # forests fit serially and evaluate runs on one thread at any
-        # --threads, so the tree models write the same bytes at any count
+        # forests fit serially and each evaluate lane is one thread, so the
+        # tree models write the same bytes at any --threads
         base, data, features = tiny_run
         outputs = []
         for threads in ("1", "2"):
@@ -1180,8 +1182,8 @@ def test_constant_band_fails_before_any_fit(recorded_run, tmp_path, capsys,
 
 
 class TestWorkerLanes:
-    """evaluate --threads N fits a plan with a tree model on N forked lanes;
-    every outcome must be the one a single lane gives."""
+    """evaluate --threads N fits a plan on N forked lanes; every outcome
+    must be the one a single lane gives."""
 
     ARGV = ["--models", "knn,dt", "--strategies", "1,2,3"]
 
@@ -1246,7 +1248,8 @@ class TestWorkerLanes:
         argv = ["--rf-trees", "3", "--strategies", "1,2,3", "--external-validation"]
         outputs, counts = {}, {}
         for models, threads in [("knn,rf,dt", "1"), ("knn,rf,dt", "2"),
-                                ("knn,rf,dt", "3"), ("knn,rf,dt", "64"), ("knn", "64")]:
+                                ("knn,rf,dt", "3"), ("knn,rf,dt", "64"),
+                                ("knn", "1"), ("knn", "2"), ("knn", "64")]:
             forks.clear()
             out = tmp_path / f"{models}-{threads}"
             code, _, err = self.evaluate(
@@ -1258,10 +1261,13 @@ class TestWorkerLanes:
             counts[models, threads] = len(forks)
         assert counts == {("knn,rf,dt", "1"): 0, ("knn,rf,dt", "2"): 1,
                           ("knn,rf,dt", "3"): 2, ("knn,rf,dt", "64"): 10,
-                          ("knn", "64"): 0}
+                          ("knn", "1"): 0, ("knn", "2"): 1, ("knn", "64"): 10}
         assert len(outputs["knn,rf,dt", "1"]) == 9
         for threads in ("2", "3", "64"):
             assert outputs["knn,rf,dt", threads] == outputs["knn,rf,dt", "1"]
+        assert len(outputs["knn", "1"]) == 5
+        for threads in ("2", "64"):
+            assert outputs["knn", threads] == outputs["knn", "1"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -283,3 +283,24 @@ class TestCompositionGroups:
         codes, labels = composition_group_labels(comps)
         assert len(labels) == 2
         assert codes[0] == codes[1] != codes[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(
+            st.tuples(*[st.sampled_from([0.0, -0.0, 0.5, 12.5, 33.33, 100.0])] * 3),
+            min_size=1, max_size=6,
+        ),
+        picks=st.lists(st.integers(0, 5), max_size=40),
+    )
+    def test_codes_and_labels_are_those_of_unique_rows(self, pool, picks):
+        # rows repeat (drawn from a small pool) and mix 0.0 with -0.0, which
+        # compare equal, so both fall in one group
+        comps = np.array([pool[i % len(pool)] for i in picks], dtype=float).reshape(-1, 3)
+        codes, labels = composition_group_labels(comps)
+        keys, inverse = np.unique(comps, axis=0, return_inverse=True)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, inverse.reshape(-1))
+        assert len(labels) == len(keys)
+        assert not any("-0.00" in label for label in labels)
+        if not np.any(np.signbit(comps)):
+            assert labels == [f"Cl{k[0]:.2f}_M{k[1]:.2f}_S{k[2]:.2f}" for k in keys]
