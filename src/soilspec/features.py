@@ -78,10 +78,12 @@ def flatten_observations(
     )
 
 
-def constant_bands(features: np.ndarray) -> list[int]:
-    """The columns of a (rows, bands) matrix with one value in every row,
-    which no min-max scale can map onto [0, 1]."""
-    return np.flatnonzero(features.max(axis=0) == features.min(axis=0)).tolist()
+def constant_bands(features: np.ndarray) -> tuple[list[int], list[int]]:
+    """The columns of a (rows, bands) matrix that no min-max scale maps onto
+    [0, 1]: one value in every row, then a max - min past float64's range."""
+    with np.errstate(over="ignore"):
+        span = features.max(axis=0) - features.min(axis=0)
+    return np.flatnonzero(span == 0).tolist(), np.flatnonzero(~np.isfinite(span)).tolist()
 
 
 class MinMaxScaler:
@@ -99,9 +101,11 @@ class MinMaxScaler:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] < 2:
             raise DegenerateBand("need at least two rows to fit a min-max scale")
-        flat = constant_bands(features)
+        flat, wide = constant_bands(features)
         if flat:
             raise DegenerateBand(f"band column(s) {flat} are constant")
+        if wide:
+            raise DegenerateBand(f"band column(s) {wide} span more than a float64 holds")
         self.min_, self.max_ = features.min(axis=0), features.max(axis=0)
         return self
 

@@ -80,8 +80,10 @@ def classification_metrics(
 
 
 def constant_columns(truth: np.ndarray) -> list[int]:
-    """The columns of an (n, d) truth with one value in every row: no R^2."""
-    return [j for j, column in enumerate(truth.T) if column.min() == column.max()]
+    """The columns of an (n, d) truth with no R^2: one value in every row, or
+    a spread that underflows to 0, as for 0 and 1e-170."""
+    spread = ((truth - truth.mean(axis=0)) ** 2).sum(axis=0)
+    return np.flatnonzero((truth.min(axis=0) == truth.max(axis=0)) | (spread == 0)).tolist()
 
 
 def regression_metrics(truth: np.ndarray, predicted: np.ndarray) -> RegressionReport:
@@ -99,11 +101,9 @@ def regression_metrics(truth: np.ndarray, predicted: np.ndarray) -> RegressionRe
     if truth.shape[0] < 2:
         raise LengthMismatch(f"R^2 needs at least 2 rows, got {truth.shape[0]}")
     residual = ((truth - predicted) ** 2).sum(axis=0)
-    spread = ((truth - truth.mean(axis=0)) ** 2).sum(axis=0)
-    # a spread of distinct values can underflow to 0, as for 0 and 1e-170
-    flat = constant_columns(truth) or np.flatnonzero(spread == 0.0).tolist()
+    flat = constant_columns(truth)
     if flat:
         raise ConstantTruth(f"truth component(s) {flat} are constant")
-    r2 = 1.0 - residual / spread
+    r2 = 1.0 - residual / ((truth - truth.mean(axis=0)) ** 2).sum(axis=0)
     rmse = np.sqrt(((truth - predicted) ** 2).mean(axis=0))
     return RegressionReport(r2=tuple(map(float, r2)), rmse=tuple(map(float, rmse)))

@@ -9,7 +9,8 @@ only; `evaluate_fold` transforms the held-out rows once with the frozen
 parameters and scores every model under every requested strategy.
 `run_evaluation` is the one path through it: it plans every fit (one per
 fold and strategy family, then the external fit), checks them all, then runs
-each through `run_task`, on forked worker lanes when `threads` > 1.
+them in one loop, `_run_chunk`, on each of min(`threads`, fits) lanes (all
+but the first forked), and raises the earliest failure in plan order.
 `run_strategies` and `run_external_validation` are views of it.
 """
 
@@ -378,16 +379,16 @@ def check_scorable(truth: np.ndarray, where: str) -> None:
 def _check_training(table: ObservationTable, train_index: np.ndarray,
                     strategy: int, specs: list[ModelSpec], where: str) -> None:
     """Raise FoldPlanError, naming `where`, for a training split that
-    `fit_fold` would reject: a constant band for the scaler, one row of a
-    class for SMOTE, one supervision group for the projection, or KNN's k
-    above the rows KNN is fit on."""
-    flat = [f"f{BAND_WAVELENGTHS_NM[j]}"
-            for j in constant_bands(table.features[train_index])]
-    if flat:
-        raise FoldPlanError(
-            f"{where}: band{'s' * (len(flat) > 1)} {', '.join(flat)} "
-            f"{'are' if len(flat) > 1 else 'is'} constant in the training split"
-        )
+    `fit_fold` would reject: a constant band, or one whose range overflows,
+    for the scaler, one row of a class for SMOTE, one supervision group for
+    the projection, or KNN's k above the rows KNN is fit on."""
+    flat, wide = constant_bands(table.features[train_index])
+    for bands, verbs, what in ((flat, ("is", "are"), "constant"),
+                               (wide, ("spans", "span"), "more than a float64 holds")):
+        if bands:
+            names = ", ".join(f"f{BAND_WAVELENGTHS_NM[j]}" for j in bands)
+            raise FoldPlanError(f"{where}: band{'s' * (len(bands) > 1)} {names} "
+                                f"{verbs[len(bands) > 1]} {what} in the training split")
     if strategy == 1:
         counts = np.bincount(table.texture_codes[train_index])
         lone = np.flatnonzero(counts == 1)
@@ -433,80 +434,75 @@ def run_task(table: ObservationTable, task: _Task,
     return evaluate_fold(artifacts, task.test, task.test_index, task.strategies)
 
 
+def _run_chunk(table: ObservationTable, tasks: list[_Task], specs: list[ModelSpec]) -> list:
+    """`run_task` over `tasks` up to the first that fails: the reports, then
+    that task's exception if one failed."""
+    done: list = []
+    for task in tasks:
+        try:
+            done.append(run_task(table, task, specs))
+        except Exception as exc:  # raised again, in plan order, by the merge
+            return done + [exc]
+    return done
+
+
 def _run_in_lanes(table: ObservationTable, tasks: list[_Task], specs: list[ModelSpec],
                   threads: int) -> list[dict]:
     """`run_task` over `tasks`, in plan order, on min(threads, tasks) lanes.
 
-    Each lane runs a contiguous chunk of the plan: this process the first,
-    a forked child each other one, which pipes back one pickled list of
-    ``(task index, reports or exception)`` and exits. Seeds come from the
-    plan, so the reports, and the exception of the earliest failed task,
-    equal those of one lane. Without `os.fork` the plan runs in one lane.
+    Each lane runs `_run_chunk` on a contiguous chunk of the plan: this
+    process the first, a forked child each other one, which pipes back its
+    outcomes and exits. One merge walks them in plan order and raises the
+    earliest failure, so reports and exception equal those of one lane,
+    which forks no child; without `os.fork` the plan runs in one lane.
     """
-    lanes = min(threads, len(tasks))
-    if lanes < 2 or not hasattr(os, "fork"):
-        return [run_task(table, task, specs) for task in tasks]
-    import scipy.linalg  # noqa: F401  (imported once here, not in every child)
-    import scipy.spatial  # noqa: F401
-
-    chunks = [range(len(tasks) * i // lanes, len(tasks) * (i + 1) // lanes)
+    lanes = min(threads if hasattr(os, "fork") else 1, len(tasks))
+    chunks = [tasks[len(tasks) * i // lanes:len(tasks) * (i + 1) // lanes]
               for i in range(lanes)]
-    results: list = [None] * len(tasks)
-    children = []  # (pid, read end of its pipe, its chunk), in lane order
+    if lanes > 1:  # imported once here, not in every child
+        import scipy.linalg  # noqa: F401
+        import scipy.spatial  # noqa: F401
+    results: list = []
+    children = []  # (pid, read end of its pipe), in lane order
     try:
         for chunk in chunks[1:]:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
-            if pid == 0:
-                _run_lane(write_fd, table, tasks, specs, chunk)
+            if pid == 0:  # a lane exits 0 only once its whole payload is sent
+                try:
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(_run_chunk(table, chunk, specs), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
             os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb"), chunk))
-        for i in chunks[0]:
-            results[i] = run_task(table, tasks[i], specs)
-        while children:
-            pid, pipe, chunk = children[0]
-            with pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code != 0:  # a lane exits 0 only once its whole payload is sent
-                fits = ", ".join(
-                    f"{t.names[1]} (strategy {','.join(map(str, t.strategies))})"
-                    for t in tasks[chunk.start:chunk.stop]
-                )
-                raise SoilspecError(f"the worker fitting {fits} exited with status "
-                                    f"{code} before it sent its results")
-            for i, outcome in pickle.loads(payload):
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        for lane, chunk in enumerate(chunks):
+            if lane == 0:
+                outcomes = _run_chunk(table, chunk, specs)
+            else:
+                pid, pipe = children[0]
+                with pipe:
+                    payload = pipe.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children.pop(0)
+                if code != 0:
+                    fits = ", ".join(
+                        f"{t.names[1]} (strategy {','.join(map(str, t.strategies))})"
+                        for t in chunk)
+                    raise SoilspecError(f"the worker fitting {fits} exited with status "
+                                        f"{code} before it sent its results")
+                outcomes = pickle.loads(payload)
+            for outcome in outcomes:
                 if isinstance(outcome, Exception):
                     raise outcome
-                results[i] = outcome
+                results.append(outcome)
     finally:
-        for pid, pipe, _ in children:
+        for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
-        for pid, _, _ in children:
             os.waitpid(pid, 0)
     return results
-
-
-def _run_lane(write_fd: int, table: ObservationTable, tasks: list[_Task],
-              specs: list[ModelSpec], chunk: range) -> None:
-    """A forked lane: run `chunk` up to its first failed task, write what
-    it did to `write_fd`, and leave the process without returning."""
-    code = 1
-    try:
-        done = []
-        for i in chunk:
-            try:
-                done.append((i, run_task(table, tasks[i], specs)))
-            except Exception as exc:  # raised again, in plan order, by the parent
-                done.append((i, exc))
-                break
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(done, pipe)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def run_evaluation(table: ObservationTable, plan: CvPlan, strategies: list[int],

@@ -25,6 +25,7 @@ from soilspec.core import BAND_WAVELENGTHS_NM
 from soilspec.cubeio import read_observation_csv
 from soilspec.errors import SoilspecError
 from soilspec.synthgen import DEFAULT_ENDMEMBERS
+from soilspec.triangle import classify_percentages
 
 
 def run(argv, capsys):
@@ -1181,6 +1182,68 @@ def test_constant_band_fails_before_any_fit(recorded_run, tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+def _evaluate_without_a_fit(features, out, argv, capsys, monkeypatch):
+    """evaluate with every warning raised and fit_fold recording its calls."""
+    fits = []
+    monkeypatch.setattr(pipeline, "fit_fold", lambda *args, **kwargs: fits.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(["evaluate", "--features", str(features), "--out", str(out),
+                            *argv], capsys)
+    return code, err, fits
+
+
+def test_band_range_overflow_fails_before_any_fit(recorded_run, tmp_path, capsys,
+                                                  monkeypatch):
+    # +-1e308 in two rows outside fold 1's test rows: every value is finite,
+    # but the training split's f365 range max - min overflows to inf
+    base, _ = recorded_run
+    lines = (base / "features" / "train.csv").read_text().splitlines(keepends=True)
+    column = lines[0].split(",").index("f365")
+    rows = [line.split(",") for line in lines[1:]]
+    plan = pipeline.make_folds(read_observation_csv(base / "features" / "train.csv"),
+                               seed=0)
+    high, low = np.flatnonzero(plan.assignment != 1)[:2]
+    rows[high][column], rows[low][column] = "1e308", "-1e308"
+    (tmp_path / "train.csv").write_text(
+        "".join([lines[0], *(",".join(row) for row in rows)])
+    )
+    out = tmp_path / "results"
+    code, err, fits = _evaluate_without_a_fit(tmp_path, out, [], capsys, monkeypatch)
+    assert code == 1
+    assert err == ("soilspec evaluate: fold 1: band f365 spans more than a float64 "
+                   "holds in the training split\n")
+    assert fits == []
+    assert list(out.iterdir()) == []
+
+
+def test_r2_spread_that_underflows_fails_before_any_fit(recorded_run, tmp_path, capsys,
+                                                        monkeypatch):
+    # clay of 0 or 1e-170: two values, but their squared deviations from the
+    # mean underflow to 0, so no test fold's clay has an R^2
+    base, _ = recorded_run
+    table = read_observation_csv(base / "features" / "train.csv")
+    clay = np.where(np.arange(len(table)) % 2, 0.0, 1e-170)
+    silt = table.compositions[:, 1]
+    sand = 100.0 - silt - clay
+    crafted = dataclasses.replace(
+        table,
+        compositions=np.column_stack([clay, silt, sand]),
+        texture_codes=classify_percentages(clay, silt, sand),
+    )
+    cubeio.write_observation_csv(crafted, tmp_path / "train.csv")
+    written = read_observation_csv(tmp_path / "train.csv").compositions[:, 0]
+    assert set(written.tolist()) == {0.0, 1e-170}
+    out = tmp_path / "results"
+    code, err, fits = _evaluate_without_a_fit(
+        tmp_path, out, ["--models", "knn", "--strategies", "2"], capsys, monkeypatch)
+    assert code == 1
+    assert re.fullmatch(r"soilspec evaluate: fold \d: every test row has the same "
+                        r"clay; R\^2 needs two values of each component\n", err), err
+    assert fits == []
+    assert list(out.iterdir()) == []
+
+
 class TestWorkerLanes:
     """evaluate --threads N fits a plan on N forked lanes; every outcome
     must be the one a single lane gives."""
@@ -1270,6 +1333,45 @@ class TestWorkerLanes:
             assert outputs["knn", threads] == outputs["knn", "1"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_the_plan_runs_in_one_lane(self, recorded_run, tmp_path, capsys,
+                                                    monkeypatch):
+        base, _ = recorded_run
+        outputs = {}
+        for threads in ("1", "4"):
+            if threads == "4":
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / threads
+            code, _, err = self.evaluate(base / "features", out,
+                                         [*self.ARGV, "--threads", threads], capsys)
+            assert code == 0, err
+            outputs[threads] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(outputs["1"]) == 6
+        assert outputs["4"] == outputs["1"]
+
+    def test_one_lane_stops_at_the_first_failed_fit(self, recorded_run, tmp_path, capsys,
+                                                    monkeypatch):
+        base, _ = recorded_run
+        features = base / "features"
+        plan = pipeline.make_folds(read_observation_csv(features / "train.csv"), seed=0)
+        folds = {plan.train_index(fold).tobytes(): fold for fold in range(1, 6)}
+        fits, fit_fold = [], pipeline.fit_fold
+
+        def faulty(table, train_index, strategy, *specs, **kwargs):
+            fits.append((folds[train_index.tobytes()], strategy))
+            if fits[-1] == (2, 2):
+                raise SoilspecError("fold 2: injected")
+            return fit_fold(table, train_index, strategy, *specs, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_fold", faulty)
+        out = tmp_path / "results"
+        code, _, err = self.evaluate(features, out, [*self.ARGV, "--threads", "1"],
+                                     capsys)
+        assert (code, err) == (1, "soilspec evaluate: fold 2: injected\n")
+        assert fits == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert list(out.iterdir()) == []
 
     def test_traced_tree_run_records_every_loaded_layer(self, tmp_path, monkeypatch):
         # perfbench/tracer.py patches its own process only, so a traced

@@ -2,10 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import soilspec.pipeline
 from soilspec.core import N_BANDS, ObservationTable
-from soilspec.errors import FoldPlanError, SpecimenOverlap
+from soilspec.errors import ConstantTruth, DegenerateBand, FoldPlanError, SpecimenOverlap
+from soilspec.features import MinMaxScaler
 from soilspec.ml.metrics import classification_metrics, regression_metrics
 from soilspec.pipeline import (
     ModelSpec,
@@ -485,3 +489,52 @@ class TestResultCsv:
         # data rows: 12 numeric columns each
         for line in lines[1:]:
             assert len(line.split(",")) == 13
+
+
+def _raises(error, call, *args):
+    try:
+        call(*args)
+    except error as exc:
+        return str(exc)
+    return None
+
+
+class TestOnePredicatePerPrecondition:
+    """A pre-fit rule fires exactly when the stage it guards would raise."""
+
+    # the crafted clay column: two values whose spread underflows to 0
+    UNDERFLOW = np.column_stack([[0.0, 1e-170, 0.0, 1e-170], [10.0, 20.0, 30.0, 40.0],
+                                 [90.0, 80.0, 70.0, 60.0]])
+    # the crafted f365 column: finite values whose range overflows
+    OVERFLOW = np.column_stack([[1e308, -1e308, 0.0],
+                                np.arange(3.0)[:, None] * np.ones(N_BANDS - 1)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(truth=hnp.arrays(
+        np.float64, st.tuples(st.integers(2, 6), st.just(3)),
+        elements=st.sampled_from([0.0, 1e-170, 5e-324, 0.1, 100.0]) | st.floats(0, 100),
+    ))
+    @example(truth=UNDERFLOW)
+    def test_check_scorable_raises_iff_r2_has_constant_truth(self, truth):
+        rule = _raises(FoldPlanError, soilspec.pipeline.check_scorable, truth, "fold 1")
+        stage = _raises(ConstantTruth, regression_metrics, truth, np.zeros_like(truth))
+        assert (rule is None) == (stage is None), (rule, stage)
+
+    @settings(max_examples=200, deadline=None)
+    @given(features=hnp.arrays(
+        np.float64, st.tuples(st.integers(2, 6), st.just(N_BANDS)),
+        elements=st.sampled_from([0.0, 1.0, 1e308, -1e308, -1.7976931348623157e308])
+        | st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    @example(features=OVERFLOW)
+    def test_band_rule_fires_iff_the_scaler_rejects_the_split(self, features):
+        n = len(features)
+        table = ObservationTable(
+            specimen_ids=np.array([f"s{i}" for i in range(n)], dtype=object),
+            block_rows=np.ones(n), block_cols=np.arange(1, n + 1), features=features,
+            compositions=np.tile([20.0, 40.0, 40.0], (n, 1)), texture_codes=np.zeros(n),
+        )
+        rule = _raises(FoldPlanError, soilspec.pipeline._check_training,
+                       table, np.arange(n), 2, [], "fold 1")
+        stage = _raises(DegenerateBand, MinMaxScaler().fit, features)
+        assert (rule or "").startswith("fold 1: band") == (stage is not None), (rule, stage)
