@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override replicate counts (default "
         f"{synthgen.TRAIN_REPLICATES},{synthgen.VALIDATION_REPLICATES})",
     )
-    p.add_argument("--threads", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="worker lanes, capped at the number of cubes")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("extract", help="preprocess cubes into observation CSVs")
@@ -235,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kappa", type=_positive_float, default=NormalizationParams.kappa,
                    help="tanh contrast steepness")
-    p.add_argument("--threads", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="worker lanes, capped at the number of cubes")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("evaluate", help="run cross-validated strategies")

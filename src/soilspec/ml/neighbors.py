@@ -94,6 +94,10 @@ def k_nearest(tree, k: int, queries: np.ndarray | None = None) -> np.ndarray:
         for start in range(0, rows.size, step):
             part = rows[start : start + step]
             dist, index = tree.query(queries[part], k=range(1, width + 1))
+            far = np.isinf(dist[:, -1])  # the tree then pads with index n
+            if far.any():
+                raise NumericalFailure(f"query row {part[far.argmax()]} lies so far "
+                                       "from the tree rows that its distance overflows")
             # The tree sums squares in another order than the scan, a few
             # ulps apart: pad the radius, and floor it so a zero k-th distance
             # keeps duplicates. Every row inside it is among the `width`

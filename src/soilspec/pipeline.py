@@ -9,16 +9,13 @@ only; `evaluate_fold` transforms the held-out rows once with the frozen
 parameters and scores every model under every requested strategy.
 `run_evaluation` is the one path through it: it plans every fit (one per
 fold and strategy family, then the external fit), checks them all, then runs
-them in one loop, `_run_chunk`, on each of min(`threads`, fits) lanes (all
-but the first forked), and raises the earliest failure in plan order.
+`run_task` over them on `lanes.map_in_lanes`'s worker lanes, which raise the
+earliest failure in plan order.
 `run_strategies` and `run_external_validation` are views of it.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -27,8 +24,9 @@ import numpy as np
 
 from .core import BAND_WAVELENGTHS_NM, N_CLASSES, ObservationTable, TextureClass
 from .cubeio import fmt_float, write_csv_rows
-from .errors import BadArgument, FoldPlanError, OffSimplex, SoilspecError, SpecimenOverlap
+from .errors import BadArgument, FoldPlanError, OffSimplex, SpecimenOverlap
 from .features import MinMaxScaler, composition_group_labels, constant_bands
+from .lanes import map_in_lanes
 from .lda import LdaModel, fit_lda, project, scatter
 from .ml.knn import KnnClassifier, KnnRegressor
 from .ml.metrics import (
@@ -434,77 +432,6 @@ def run_task(table: ObservationTable, task: _Task,
     return evaluate_fold(artifacts, task.test, task.test_index, task.strategies)
 
 
-def _run_chunk(table: ObservationTable, tasks: list[_Task], specs: list[ModelSpec]) -> list:
-    """`run_task` over `tasks` up to the first that fails: the reports, then
-    that task's exception if one failed."""
-    done: list = []
-    for task in tasks:
-        try:
-            done.append(run_task(table, task, specs))
-        except Exception as exc:  # raised again, in plan order, by the merge
-            return done + [exc]
-    return done
-
-
-def _run_in_lanes(table: ObservationTable, tasks: list[_Task], specs: list[ModelSpec],
-                  threads: int) -> list[dict]:
-    """`run_task` over `tasks`, in plan order, on min(threads, tasks) lanes.
-
-    Each lane runs `_run_chunk` on a contiguous chunk of the plan: this
-    process the first, a forked child each other one, which pipes back its
-    outcomes and exits. One merge walks them in plan order and raises the
-    earliest failure, so reports and exception equal those of one lane,
-    which forks no child; without `os.fork` the plan runs in one lane.
-    """
-    lanes = min(threads if hasattr(os, "fork") else 1, len(tasks))
-    chunks = [tasks[len(tasks) * i // lanes:len(tasks) * (i + 1) // lanes]
-              for i in range(lanes)]
-    if lanes > 1:  # imported once here, not in every child
-        import scipy.linalg  # noqa: F401
-        import scipy.spatial  # noqa: F401
-    results: list = []
-    children = []  # (pid, read end of its pipe), in lane order
-    try:
-        for chunk in chunks[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # a lane exits 0 only once its whole payload is sent
-                try:
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(_run_chunk(table, chunk, specs), pipe)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        for lane, chunk in enumerate(chunks):
-            if lane == 0:
-                outcomes = _run_chunk(table, chunk, specs)
-            else:
-                pid, pipe = children[0]
-                with pipe:
-                    payload = pipe.read()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                children.pop(0)
-                if code != 0:
-                    fits = ", ".join(
-                        f"{t.names[1]} (strategy {','.join(map(str, t.strategies))})"
-                        for t in chunk)
-                    raise SoilspecError(f"the worker fitting {fits} exited with status "
-                                        f"{code} before it sent its results")
-                outcomes = pickle.loads(payload)
-            for outcome in outcomes:
-                if isinstance(outcome, Exception):
-                    raise outcome
-                results.append(outcome)
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return results
-
-
 def run_evaluation(table: ObservationTable, plan: CvPlan, strategies: list[int],
                    specs: list[ModelSpec], validation: ObservationTable | None = None,
                    where: str = "the validation table", threads: int = 1):
@@ -546,8 +473,15 @@ def run_evaluation(table: ObservationTable, plan: CvPlan, strategies: list[int],
         _check_training(table, task.train_index, task.family, specs, task.names[1])
     results = {(s, spec.name): StrategyResult(s, spec.name)
                for s in strategies for spec in specs}
+    if threads > 1 and len(tasks) > 1:  # imported once here, not in every lane
+        import scipy.linalg  # noqa: F401
+        import scipy.spatial  # noqa: F401
+    outcomes = map_in_lanes(
+        lambda task: run_task(table, task, specs), tasks, threads,
+        lambda chunk: "fitting " + ", ".join(
+            f"{t.names[1]} (strategy {','.join(map(str, t.strategies))})" for t in chunk))
     external = {}
-    for task, reports in zip(tasks, _run_in_lanes(table, tasks, specs, threads)):
+    for task, reports in zip(tasks, outcomes):
         for (strategy, name), report in reports.items():
             if task.test is table:  # a fold's test rows come from `table`
                 results[strategy, name].fold_reports.append(report)

@@ -9,12 +9,11 @@ to reproduce real soil optics.
 
 All randomness derives from one master seed through an explicit index path
 (role, mixture, replicate), so generation is reproducible and specimens can
-be synthesized in any order.
+be synthesized in any order, on any number of worker lanes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -48,6 +47,7 @@ from .features import (
     block_means,
     flatten_observations,
 )
+from .lanes import map_in_lanes
 from .preprocess import NormalizationParams, preprocess_cube
 from .seeding import derive_seed
 from .triangle import classify_composition, mixture_composition
@@ -301,10 +301,9 @@ def generate_dataset(
     out_dir: str | Path,
     threads: int = 1,
 ) -> Path:
-    """Write all cubes, the shared dark frame, and the manifest CSV.
-
-    Deterministic under the noise seed: reruns produce byte-identical trees.
-    Returns the manifest path.
+    """Write the shared dark frame, all cubes, rendered on `threads` worker
+    lanes, and the manifest CSV. Deterministic under the noise seed: reruns at
+    any lane count produce byte-identical trees. Returns the manifest path.
     """
     out_dir = Path(out_dir)
     cube_dir = out_dir / "cubes"
@@ -321,21 +320,13 @@ def generate_dataset(
         specimen_id, mixture, role_idx, m_idx, rep = entry
         seed = derive_seed(noise.seed, role_idx, m_idx, rep)
         rel_path = f"cubes/{specimen_id}.msc"
-        write_cube(
-            synthesize_cube(mixture, endmembers, noise, seed), out_dir / rel_path
-        )
+        write_cube(synthesize_cube(mixture, endmembers, noise, seed), out_dir / rel_path)
         composition = mixture.composition()
-        return ManifestEntry(
-            specimen_id=specimen_id,
-            role=mixture.role,
-            weights=mixture.weights,
-            composition=composition,
-            texture=classify_composition(composition),
-            cube_path=rel_path,
-        )
+        return ManifestEntry(specimen_id, mixture.role, mixture.weights, composition,
+                             classify_composition(composition), rel_path)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        entries = list(pool.map(render, plan))
+    entries = map_in_lanes(render, plan, threads, lambda chunk: "synthesizing cubes "
+                           + ", ".join(entry[0] for entry in chunk))
 
     manifest_path = out_dir / "manifest.csv"
     write_csv_rows(
@@ -419,7 +410,8 @@ def extract_tables(
     params: NormalizationParams = NormalizationParams(),
     threads: int = 1,
 ):
-    """Preprocess every manifest cube into block-level observation tables.
+    """Preprocess every manifest cube into block-level observation tables,
+    on `threads` worker lanes that each return their cubes' block means.
 
     Returns {"train": table, "validation": table}; a role missing from the
     manifest maps to an empty table.
@@ -429,28 +421,21 @@ def extract_tables(
     entries = load_manifest(manifest_path)
     dark = read_dark_frame(base_dir / "dark.msc")
 
-    members = {role: [e for e in entries if e.role == role] for role in _ROLE_INDEX}
-    blocks = {
-        role: np.empty((len(group), BLOCKS_PER_SPECIMEN, N_BANDS))
-        for role, group in members.items()
-    }
-    # a cube's block means go to its place among its role's manifest rows
-    row = {e.specimen_id: i for group in members.values() for i, e in enumerate(group)}
-
-    def process(entry: ManifestEntry) -> None:
+    def process(entry: ManifestEntry) -> np.ndarray:
         try:
             cube = read_cube(base_dir / entry.cube_path)
             processed = preprocess_cube(cube, dark, roi, params)
         except SoilspecError as exc:
             raise type(exc)(f"specimen {entry.specimen_id}: {exc}") from exc
-        blocks[entry.role][row[entry.specimen_id]] = block_means(processed)
+        return block_means(processed)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(process, entries))
-
+    means = map_in_lanes(process, entries, threads, lambda chunk: "extracting cubes "
+                         + ", ".join(entry.specimen_id for entry in chunk))
     return {
         role: flatten_observations(
-            blocks[role], [(e.composition, e.texture, e.specimen_id) for e in group]
+            np.array([m for e, m in zip(entries, means) if e.role == role]).reshape(
+                -1, BLOCKS_PER_SPECIMEN, N_BANDS),
+            [(e.composition, e.texture, e.specimen_id) for e in entries if e.role == role],
         )
-        for role, group in members.items()
+        for role in _ROLE_INDEX
     }

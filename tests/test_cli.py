@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soilspec
-from soilspec import cli, cubeio, pipeline
+from soilspec import cli, cubeio, pipeline, synthgen
 from soilspec.cli import main
 from soilspec.core import BAND_WAVELENGTHS_NM
 from soilspec.cubeio import read_observation_csv
@@ -1072,15 +1073,17 @@ class TestEndToEnd:
 @pytest.fixture(scope="module")
 def recorded_run(tmp_path_factory):
     """generate, extract, evaluate --external-validation and signatures on the
-    seed-3 --replicates 1,1 tree, with every path opened for writing."""
+    seed-3 --replicates 1,1 tree, with every path opened for writing, also by
+    a forked worker lane: each path is appended to a log file outside the tree."""
     base = tmp_path_factory.mktemp("recorded")
     data, features = base / "data", base / "features"
     results, sigs = base / "results", base / "sigs"
-    opened = []
+    log = tmp_path_factory.mktemp("opened") / "paths.txt"
     open_output = cubeio.open_output
 
     def recording(path, mode):
-        opened.append(Path(path))
+        with open(log, "a") as fh:
+            fh.write(f"{path}\n")
         return open_output(path, mode)
 
     with pytest.MonkeyPatch.context() as mp, \
@@ -1097,6 +1100,7 @@ def recorded_run(tmp_path_factory):
              "--out", str(sigs)],
         ):
             assert main(argv) == 0, argv
+    opened = [Path(line) for line in log.read_text().splitlines()]
     return base, opened
 
 
@@ -1389,3 +1393,146 @@ class TestWorkerLanes:
         metrics = record["result"]["metrics"]
         for layer in sorted(stock.loaded):
             assert metrics[f"{layer}.calls"]["value"] > 0, layer
+
+
+def test_far_knn_query_fails_naming_its_row(recorded_run, tmp_path, capsys):
+    # -1e308 in one row's f365: inside its training splits the band range
+    # still fits a float64, but as a test row it projects so far out that the
+    # KD-tree's distances overflow
+    base, _ = recorded_run
+    lines = (base / "features" / "train.csv").read_text().splitlines(keepends=True)
+    column = lines[0].split(",").index("f365")
+    row = lines[1].split(",")
+    row[column] = "-1e308"
+    (tmp_path / "train.csv").write_text("".join([lines[0], ",".join(row), *lines[2:]]))
+    errors = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"results-{threads}"
+        code, _, err = run(["evaluate", "--features", str(tmp_path), "--out", str(out),
+                            "--models", "knn", "--strategies", "2",
+                            "--threads", threads], capsys)
+        assert code == 1
+        assert list(out.iterdir()) == []
+        errors.append(err)
+    assert errors[1] == errors[0]
+    assert re.fullmatch(r"soilspec evaluate: query row \d+ lies so far from the tree "
+                        r"rows that its distance overflows\n", errors[0]), errors[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPrepLanes:
+    """generate and extract --threads N map their cubes over N forked lanes;
+    every outcome must be the one a single lane gives."""
+
+    REPLICATES = ["--seed", "3", "--replicates", "1,1"]  # 29 cubes
+
+    @staticmethod
+    def prep(tmp_path, threads, capsys, data=None):
+        """generate (unless given `data`), then extract, at `threads`:
+        (exit code, stderr, {relative path: bytes} of every output)."""
+        out = tmp_path / f"prep-{threads}"
+        if data is None:
+            data = out / "data"
+            code, _, err = run(["generate", *TestPrepLanes.REPLICATES, "--out", str(data),
+                                "--threads", threads], capsys)
+            if code:
+                return code, err, {}
+        code, _, err = run(["extract", "--data", str(data), "--out",
+                            str(out / "features"), "--threads", threads], capsys)
+        written = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+                   if p.is_file() and p.name != "run_config.json"}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code, err, written
+
+    def test_bytes_are_equal_at_any_lane_count_and_forks_are_capped(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        outcomes, counts = {}, {}
+        for threads in ("1", "2", "3", "64"):
+            forks.clear()
+            outcomes[threads] = self.prep(tmp_path, threads, capsys)
+            counts[threads] = len(forks)
+        # generate's forks, then extract's: lanes - 1 each, capped at 29 cubes
+        assert counts == {"1": 0, "2": 1 + 1, "3": 2 + 2, "64": 28 + 28}
+        code, err, written = outcomes["1"]
+        assert (code, err) == (0, "")
+        assert len([name for name in written if name.endswith(".msc")]) == 30
+        assert {"data/manifest.csv", "features/train.csv",
+                "features/validation.csv"} <= set(written)
+        for threads in ("2", "3", "64"):
+            assert outcomes[threads] == outcomes["1"]
+
+    def test_a_truncated_late_cube_fails_as_one_lane_would(self, recorded_run, tmp_path,
+                                                           capsys):
+        base, _ = recorded_run
+        data = tmp_path / "data"
+        shutil.copytree(base / "data", data)
+        victim = data / "cubes" / "validation-06-01.msc"
+        victim.write_bytes(victim.read_bytes()[:-40])
+        outcomes = [self.prep(tmp_path, threads, capsys, data) for threads in ("1", "2")]
+        code, err, written = outcomes[0]
+        assert code == 1
+        assert err.startswith("soilspec extract: specimen validation-06-01: ")
+        assert err.count("\n") == 1
+        assert written == {}
+        assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize("command, stage, verb", [
+        ("generate", "synthesize_cube", "synthesizing"),
+        ("extract", "preprocess_cube", "extracting"),
+    ])
+    def test_a_dead_lane_names_its_cubes(self, recorded_run, tmp_path, capsys,
+                                         monkeypatch, command, stage, verb):
+        base, _ = recorded_run
+        parent, work = os.getpid(), getattr(synthgen, stage)
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return work(*args)
+
+        monkeypatch.setattr(synthgen, stage, dying)
+        out = tmp_path / "out"
+        if command == "generate":
+            argv = ["generate", *self.REPLICATES, "--out", str(out)]
+        else:
+            argv = ["extract", "--data", str(base / "data"), "--out", str(out)]
+        code, _, err = run([*argv, "--threads", "2"], capsys)
+        # two lanes over 29 cubes: the forked one holds the last 15
+        manifest = (base / "data" / "manifest.csv").read_text().splitlines()[1:]
+        cubes = ", ".join(line.split(",")[0] for line in manifest[14:])
+        assert (code, err) == (1, f"soilspec {command}: the worker {verb} cubes {cubes} "
+                                  "exited with status 3 before it sent its results\n")
+        assert not {"manifest.csv", "train.csv", "run_config.json"} & {
+            p.name for p in out.iterdir()}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_command_starts_a_thread(tmp_path, capsys, monkeypatch):
+    # every command that maps work over lanes forks them, which is safe only
+    # while no thread runs
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (starts.append(thread), start(thread)))
+    monkeypatch.setenv(cli.THREADS_ENV, "2")  # signatures takes no --threads flag
+    data, features = tmp_path / "data", tmp_path / "features"
+    for argv in (
+        ["generate", "--seed", "3", "--replicates", "1,1", "--out", str(data),
+         "--threads", "2"],
+        ["extract", "--data", str(data), "--out", str(features), "--threads", "2"],
+        ["evaluate", "--features", str(features), "--out", str(tmp_path / "results"),
+         "--models", "knn,dt", "--strategies", "1,2,3", "--external-validation",
+         "--threads", "2"],
+        ["signatures", "--features", str(features / "train.csv"),
+         "--out", str(tmp_path / "sigs")],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+    assert starts == []

@@ -1,5 +1,8 @@
 import hashlib
+import os
+import pickle
 import sys
+import tempfile
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -449,8 +452,11 @@ class TestExtractTables:
         planes = {}
 
         def recording(cube, *args):
+            # one file per cube, so a forked worker lane's records reach the test
             out = preprocess_cube(cube, *args)
-            planes[threads].append((cube.planes.tobytes(), out.tobytes()))
+            fd, _ = tempfile.mkstemp(dir=tmp_path / f"planes-{threads}")
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump((cube.planes.tobytes(), out.tobytes()), fh)
             return out
 
         monkeypatch.setattr(synthgen, "preprocess_cube", recording)
@@ -459,8 +465,10 @@ class TestExtractTables:
         sys.setswitchinterval(1e-6)
         try:
             for threads in (1, 2, 3):
-                planes[threads] = []
+                (tmp_path / f"planes-{threads}").mkdir()
                 tables[threads] = extract_tables(manifest, threads=threads)
+                planes[threads] = [pickle.loads(path.read_bytes()) for path
+                                   in (tmp_path / f"planes-{threads}").iterdir()]
         finally:
             sys.setswitchinterval(interval)
         assert len(planes[1]) == 10
