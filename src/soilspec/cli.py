@@ -20,7 +20,7 @@ from pathlib import Path
 from . import pipeline, synthgen
 from .core import Roi, validate_composition
 from .cubeio import open_output, read_observation_csv, write_observation_csv
-from .errors import DegenerateBand, IoFailure, SoilspecError
+from .errors import SoilspecError, naming
 from .features import MinMaxScaler, emit_signatures
 from .pipeline import ModelSpec
 from .preprocess import NormalizationParams
@@ -172,10 +172,8 @@ def cmd_evaluate(args) -> int:
 def cmd_signatures(args) -> int:
     table = read_observation_csv(args.features)
     # Signatures are defined over the column-wise min-max normalized table.
-    try:
+    with naming(args.features):
         scaler = MinMaxScaler().fit(table.features)
-    except DegenerateBand as exc:
-        raise DegenerateBand(f"{args.features}: {exc}") from None
     table = replace(table, features=scaler.transform(table.features))
     groupings = ("class", "composition") if args.group_by == "both" else (args.group_by,)
     names = {grouping: f"signatures_by_{grouping}.csv" for grouping in groupings}
@@ -290,10 +288,8 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     try:
         if out:
-            try:
+            with naming(f"cannot create {out}"):
                 out.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise IoFailure(f"cannot create {out}: {exc}") from exc
             (out / "run_config.json").unlink(missing_ok=True)
         code = args.func(args)
         if code == 0 and out:  # provenance: the command and every parsed argument

@@ -36,7 +36,6 @@ from .core import (
 )
 from .errors import (
     BandCountMismatch,
-    IntensityOverflow,
     IoFailure,
     MalformedHeader,
     NegativeComponent,
@@ -44,6 +43,7 @@ from .errors import (
     SoilspecError,
     SumViolation,
     TruncatedPayload,
+    naming,
 )
 from .triangle import classify_percentages
 
@@ -121,14 +121,6 @@ def _unpack(path: Path) -> tuple[tuple[int, ...], np.ndarray]:
     return struct.unpack(f"<{bands}H", table), planes
 
 
-def _in_range(path: Path, make, planes: np.ndarray):
-    """`make(planes)`, naming the file when an intensity exceeds 10 bits."""
-    try:
-        return make(planes)
-    except IntensityOverflow as exc:
-        raise IntensityOverflow(f"{path}: {exc}") from None
-
-
 def write_cube(cube: SpectralCube, path: str | Path) -> None:
     """Write a 13-band cube; identical cubes produce identical bytes."""
     _write(path, BAND_WAVELENGTHS_NM, cube.planes)
@@ -146,7 +138,8 @@ def read_cube(path: str | Path) -> SpectralCube:
         raise MalformedHeader(
             f"{path}: wavelength table {wavelengths} is not the canonical set"
         )
-    return _in_range(path, SpectralCube, planes)
+    with naming(path):
+        return SpectralCube(planes)
 
 
 def write_dark_frame(dark: DarkFrame, path: str | Path) -> None:
@@ -163,7 +156,8 @@ def read_dark_frame(path: str | Path) -> DarkFrame:
         )
     if wavelengths[0] != 0:
         raise MalformedHeader(f"{path}: dark frame wavelength must be 0")
-    return _in_range(path, DarkFrame, planes[0])
+    with naming(path):
+        return DarkFrame(planes[0])
 
 
 def fmt_float(value: float) -> str:
@@ -214,10 +208,8 @@ def _read_text(path: Path) -> str:
     """The file's text with its line ends as written; bytes that do not
     decode fail as MalformedHeader naming the line."""
     try:
-        with open(path, newline="") as fh:
+        with naming(f"cannot read {path}"), open(path, newline="") as fh:
             return fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         line = exc.object[: exc.start].count(b"\n") + 1
         raise MalformedHeader(f"{path}: line {line}: not text: {exc}") from None

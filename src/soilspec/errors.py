@@ -2,7 +2,10 @@
 
 Every domain failure raises a subclass of :class:`SoilspecError` so callers
 (and the CLI) can separate contract violations from genuine bugs.
+:func:`naming` prefixes a failure with the place it happened.
 """
+
+from contextlib import contextmanager
 
 
 class SoilspecError(Exception):
@@ -129,3 +132,15 @@ class FoldPlanError(SoilspecError):
     """An evaluation plan that some fit or score would reject: too few units
     for N_FOLDS folds, a specimen of mixed texture, a training split the fit
     cannot use, or a test fold or validation table that R^2 cannot score."""
+
+
+@contextmanager
+def naming(where: str):
+    """Name `where` in a failure of the block: a SoilspecError is raised again
+    as its own type, an OSError as IoFailure, each as ``"{where}: {exc}"``."""
+    try:
+        yield
+    except SoilspecError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+    except OSError as exc:
+        raise IoFailure(f"{where}: {exc}") from exc

@@ -26,7 +26,6 @@ class _KnnBase:
         if k < 1:
             raise KTooLarge(f"k must be >= 1, got {k}")
         self.k = k
-        self.train_x: np.ndarray | None = None
         self.train_y: np.ndarray | None = None
 
     def fit(self, features: np.ndarray, targets: np.ndarray):
@@ -41,17 +40,16 @@ class _KnnBase:
             raise KTooLarge(f"k={self.k} exceeds {features.shape[0]} training rows")
         check_lengths(features, targets, "KNN training")
         check_finite(features, "KNN training")
-        self.train_x = features
         self.train_y = targets
         self._tree = build_tree(features)
         return self
 
     def _neighbor_indices(self, queries: np.ndarray) -> np.ndarray:
         """(n_queries, k) training-row indices, nearest first."""
-        if self.train_x is None:
+        if self.train_y is None:
             raise NotFitted("KNN predict before fit")
         queries = np.ascontiguousarray(queries, dtype=np.float64)
-        dim = self.train_x.shape[1]
+        dim = self._tree.data.shape[1]
         if queries.ndim != 2 or queries.shape[1] != dim:
             raise DimensionMismatch(
                 f"KNN queries of shape {queries.shape} need {dim} columns"
@@ -61,10 +59,10 @@ class _KnnBase:
 
     def params_digest(self) -> str:
         """Hash of everything the fit depends on (leakage audits)."""
-        if self.train_x is None or self.train_y is None:
+        if self.train_y is None:
             raise NotFitted("KNN params_digest before fit")
         targets = np.asarray(self.train_y, dtype=np.float64)
-        return sha256_hex(str(self.k).encode(), self.train_x, targets)
+        return sha256_hex(str(self.k).encode(), self._tree.data, targets)
 
 
 class KnnClassifier(_KnnBase):

@@ -296,7 +296,8 @@ class DecisionTreeRegressor(_DecisionTree):
 
 
 class _ForestBase:
-    """Bootstrap ensemble scaffolding; subclasses define the base tree."""
+    """Bootstrap ensemble scaffolding; subclasses define the base tree
+    (`_new_tree`) and the features tried per split (`_feature_count`)."""
 
     def __init__(self, n_trees=20, max_depth=None, min_leaf=1, seed=0):
         if n_trees < 1:
@@ -306,12 +307,6 @@ class _ForestBase:
         self.min_leaf = min_leaf
         self.seed = seed
         self.trees: list = []
-
-    def _feature_count(self, n_features: int) -> int:
-        raise NotImplementedError
-
-    def _new_tree(self):
-        raise NotImplementedError
 
     def _fit_one(self, index, features, targets, max_features):
         rng = make_rng(self.seed, index)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import BAND_WAVELENGTHS_NM, N_CLASSES, ObservationTable, TextureClass
 from .cubeio import fmt_float, write_csv_rows
-from .errors import BadArgument, FoldPlanError, OffSimplex, SpecimenOverlap
+from .errors import BadArgument, FoldPlanError, OffSimplex, SpecimenOverlap, naming
 from .features import MinMaxScaler, composition_group_labels, constant_bands
 from .lanes import map_in_lanes
 from .lda import LdaModel, fit_lda, project, scatter
@@ -413,7 +413,7 @@ def _check_training(table: ObservationTable, train_index: np.ndarray,
 
 class _Task(NamedTuple):
     """A fold of one strategy family, or the external fit; `names` name its
-    test rows and its training split in the rules' messages."""
+    test rows and its training split, and so its fit, in messages."""
 
     names: tuple[str, str]
     train_index: np.ndarray
@@ -427,9 +427,10 @@ class _Task(NamedTuple):
 def run_task(table: ObservationTable, task: _Task,
              specs: list[ModelSpec]) -> dict[tuple[int, str], object]:
     """Fit one task on its training split of `table` and score its test
-    rows: ``{(strategy, model): report}``."""
-    artifacts = fit_fold(table, task.train_index, task.family, *specs, seed=task.seed)
-    return evaluate_fold(artifacts, task.test, task.test_index, task.strategies)
+    rows: ``{(strategy, model): report}``. A failure names the fit."""
+    with naming(task.names[1]):
+        artifacts = fit_fold(table, task.train_index, task.family, *specs, seed=task.seed)
+        return evaluate_fold(artifacts, task.test, task.test_index, task.strategies)
 
 
 def run_evaluation(table: ObservationTable, plan: CvPlan, strategies: list[int],

@@ -40,7 +40,7 @@ from .cubeio import (
     write_cube,
     write_dark_frame,
 )
-from .errors import BadArgument, IoFailure, MalformedHeader, SoilspecError
+from .errors import BadArgument, MalformedHeader, naming
 from .features import (
     BLOCK_SIDE,
     BLOCKS_PER_SPECIMEN,
@@ -307,10 +307,8 @@ def generate_dataset(
     """
     out_dir = Path(out_dir)
     cube_dir = out_dir / "cubes"
-    try:
+    with naming(f"cannot create {cube_dir}"):
         cube_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {cube_dir}: {exc}") from exc
     dark = synthesize_dark_frame(noise, derive_seed(noise.seed, _DARK_SEED_TAG))
     write_dark_frame(dark, out_dir / "dark.msc")
     train, validation = benchmark
@@ -422,11 +420,9 @@ def extract_tables(
     dark = read_dark_frame(base_dir / "dark.msc")
 
     def process(entry: ManifestEntry) -> np.ndarray:
-        try:
+        with naming(f"specimen {entry.specimen_id}"):
             cube = read_cube(base_dir / entry.cube_path)
             processed = preprocess_cube(cube, dark, roi, params)
-        except SoilspecError as exc:
-            raise type(exc)(f"specimen {entry.specimen_id}: {exc}") from exc
         return block_means(processed)
 
     means = map_in_lanes(process, entries, threads, lambda chunk: "extracting cubes "

@@ -1276,7 +1276,7 @@ class TestWorkerLanes:
         def faulty(table, train_index, strategy, *specs, **kwargs):
             if strategy == 2 and train_index.tobytes() == target:
                 if fault == "raise":
-                    raise SoilspecError(f"fold {fold}: injected")
+                    raise SoilspecError("injected")
                 if os.getpid() != parent:
                     os._exit(3)
             return fit_fold(table, train_index, strategy, *specs, **kwargs)
@@ -1366,7 +1366,7 @@ class TestWorkerLanes:
         def faulty(table, train_index, strategy, *specs, **kwargs):
             fits.append((folds[train_index.tobytes()], strategy))
             if fits[-1] == (2, 2):
-                raise SoilspecError("fold 2: injected")
+                raise SoilspecError("injected")
             return fit_fold(table, train_index, strategy, *specs, **kwargs)
 
         monkeypatch.setattr(pipeline, "fit_fold", faulty)
@@ -1415,8 +1415,35 @@ def test_far_knn_query_fails_naming_its_row(recorded_run, tmp_path, capsys):
         assert list(out.iterdir()) == []
         errors.append(err)
     assert errors[1] == errors[0]
-    assert re.fullmatch(r"soilspec evaluate: query row \d+ lies so far from the tree "
-                        r"rows that its distance overflows\n", errors[0]), errors[0]
+    assert re.fullmatch(r"soilspec evaluate: fold \d+: query row \d+ lies so far from "
+                        r"the tree rows that its distance overflows\n", errors[0]), errors[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_far_external_query_fails_naming_the_external_fit(recorded_run, tmp_path,
+                                                          capsys):
+    # -1e308 in f365 of validation.csv's first row: the fit on train.csv is
+    # sound, but that row projects so far out that the KD-tree's distances
+    # overflow, and the failure names the fit it happened in
+    base, _ = recorded_run
+    features = base / "features"
+    lines = (features / "validation.csv").read_text().splitlines(keepends=True)
+    column = lines[0].split(",").index("f365")
+    row = lines[1].split(",")
+    row[column] = "-1e308"
+    (tmp_path / "validation.csv").write_text(
+        "".join([lines[0], ",".join(row), *lines[2:]]))
+    (tmp_path / "train.csv").write_bytes((features / "train.csv").read_bytes())
+    for threads in ("1", "2"):
+        out = tmp_path / f"results-{threads}"
+        code, _, err = run(["evaluate", "--features", str(tmp_path), "--out", str(out),
+                            "--models", "knn", "--strategies", "2",
+                            "--external-validation", "--threads", threads], capsys)
+        assert (code, err) == (1, "soilspec evaluate: the --external-validation fit: "
+                               "query row 0 lies so far from the tree rows that its "
+                               "distance overflows\n")
+        assert list(out.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -26,6 +26,23 @@ ENDMEMBERS = (
     validate_composition(0.0, 0.0, 100.0),
 )
 
+# Every number a rule compares clay, silt or sand with.
+RULE_EDGES = (0, 7, 12, 15, 20, 27, 28, 30, 35, 40, 45, 50, 52, 80, 100)
+_near_edge = st.sampled_from(RULE_EDGES).flatmap(
+    lambda v: st.floats(v - 1e-12, v + 1e-12))
+_wide = st.floats(-1e300, 1e300)
+_plausible = st.floats(-20, 120)
+# Finite (clay, silt, sand) predictions with a positive component: clay and
+# silt within 1e-12 of a rule edge and a sum within 1e-12 of 100, a
+# regressor's plausible output, or any triple whose clamped total cannot
+# overflow.
+PREDICTION_ROWS = st.one_of(
+    st.tuples(_near_edge, _near_edge, st.floats(-1e-12, 1e-12)).map(
+        lambda t: (t[0], t[1], 100.0 - t[0] - t[1] + t[2])),
+    st.tuples(_plausible, _plausible, _plausible),
+    st.tuples(_wide, _wide, _wide),
+).filter(lambda row: max(row) > 0)
+
 
 def simplex_grid(step_tenths=1):
     """All (clay, silt, sand) triples on a 0.1%-step integer lattice."""
@@ -186,6 +203,13 @@ class TestNormalizePrediction:
         clamped = np.maximum(triples, 0.0)
         expected = clamped / clamped.sum(axis=1)[:, np.newaxis] * 100.0
         assert normalize_predictions(triples).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(PREDICTION_ROWS, min_size=1, max_size=8))
+    def test_renormalized_predictions_always_match_a_region(self, rows):
+        # strategy 3's OffSimplex check cannot fire on a finite prediction
+        normalized = normalize_predictions(np.array(rows))
+        assert (classify_percentages(*normalized.T) >= 0).all()
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(42)
